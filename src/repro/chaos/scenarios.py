@@ -15,8 +15,6 @@ digests (the determinism acceptance criterion).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,7 +36,9 @@ from repro.apps.cache import (
     VALUE_WORDS,
 )
 from repro.chaos.inject import ChaosController
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults
+from repro.chaos.plan import ChaosPlan, acceptance_plan
+from repro.chaos.report import run_digest
+from repro.collective.protocol import rewind_slots
 from repro.core import compile_netcl
 from repro.netsim import DEVICE, HOST, Link, Network
 from repro.reliability import (
@@ -49,6 +49,10 @@ from repro.reliability import (
     ReplicatedConnection,
 )
 from repro.runtime import DeviceConnection, KernelSpec
+
+#: what the acceptance plan crashes, and when (see :func:`acceptance_plan`).
+CACHE_CRASH = {"crash_node": f"d{CACHE_DEVICE}", "crash_at_ns": 600_000}
+AGG_CRASH = {"crash_node": f"d{AGG_DEVICE}", "crash_at_ns": 60_000}
 
 
 @dataclass
@@ -68,25 +72,10 @@ class ChaosRunResult:
     plan: dict = field(default_factory=dict)
     metrics: dict[str, object] = field(default_factory=dict)
     #: tracing by-products (``trace=True`` runs only).  Deliberately kept
-    #: out of the digest and ``to_dict``: a traced run must produce the
+    #: out of the digest and the report: a traced run must produce the
     #: same digest as an untraced one.
     traces: int = 0
     trace_events: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "completed": self.completed,
-            "expected": self.expected,
-            "failed_over": self.failed_over,
-            "sim_ns": self.sim_ns,
-            "digest": self.digest,
-            "counters": self.counters,
-            "plan": self.plan,
-        }
 
 
 def compile_app_at(name: str, device_id: int, *, defines: Optional[dict] = None):
@@ -99,36 +88,6 @@ def compile_app_at(name: str, device_id: int, *, defines: Optional[dict] = None)
     """
     src = netcl_source(name).replace("_at(1)", f"_at({device_id})")
     return compile_netcl(src, device_id, defines=defines, program_name=name)
-
-
-def default_chaos_plan(
-    seed: int,
-    *,
-    loss: float = 0.05,
-    duplicate: float = 0.05,
-    reorder: float = 0.05,
-    jitter_ns: int = 1_000,
-    crash_at_ns: Optional[int] = 600_000,
-) -> ChaosPlan:
-    """The acceptance fault model: 5% loss + duplication + reordering +
-    jitter on every link, and a crash of the primary switch mid-run."""
-    faults = LinkFaults(
-        loss=loss,
-        duplicate=duplicate,
-        reorder=reorder,
-        reorder_delay_ns=15_000,
-        jitter_ns=jitter_ns,
-    )
-    events = []
-    if crash_at_ns is not None:
-        events.append(ChaosEvent(at_ns=crash_at_ns, kind="crash", node="d1"))
-    return ChaosPlan(seed=seed, default_link=faults, events=events)
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 def _value(key: int, salt: int) -> list[int]:
@@ -155,7 +114,7 @@ def run_cache_chaos(
     a standby whose cache lines are re-installed from the control-plane
     journal.
     """
-    plan = plan if plan is not None else default_chaos_plan(seed)
+    plan = plan if plan is not None else acceptance_plan(seed, **CACHE_CRASH)
     primary = compile_app_at("cache", CACHE_DEVICE)
     standby = compile_app_at("cache", standby_id)
 
@@ -276,7 +235,7 @@ def run_cache_chaos(
         "chaos_reordered": m.total("chaos.reordered"),
     }
     snapshot = m.snapshot()
-    digest = _digest(
+    digest = run_digest(
         {
             "app": "cache",
             "seed": seed,
@@ -328,11 +287,7 @@ def run_agg_chaos(
     any worker still needs on each slot, and the slot protocol re-builds
     the lost partial aggregations on the standby.
     """
-    plan = (
-        plan
-        if plan is not None
-        else default_chaos_plan(seed, crash_at_ns=60_000)
-    )
+    plan = plan if plan is not None else acceptance_plan(seed, **AGG_CRASH)
     defines = {"NUM_WORKERS": num_workers}
     primary = compile_app_at("agg", AGG_DEVICE, defines=defines)
     standby = compile_app_at("agg", standby_id, defines=defines)
@@ -374,30 +329,13 @@ def run_agg_chaos(
         workers.append(worker)
     net.add_multicast_group(AGG_MCAST_GROUP, [HOST(w.host_id) for w in workers])
 
-    def resync(mgr: FailoverManager) -> None:
-        # Every slot restarts at the earliest chunk any worker still has
-        # in flight there; workers past it re-contribute (their data is
-        # still at hand, and re-received results simply advance them).
-        slots: set[int] = set()
-        for w in workers:
-            slots.update(s for s, c in w._slot_chunk.items() if c is not None)
-        for slot in sorted(slots):
-            chunks = [
-                c for c in (w._slot_chunk.get(slot) for w in workers) if c is not None
-            ]
-            if not chunks:
-                continue
-            base = min(chunks)
-            for w in workers:
-                w.resync_slot(slot, base)
-
     failover = FailoverManager(
         net,
         AGG_DEVICE,
         standby_id,
         heartbeat_ns=heartbeat_ns,
         channels=[w.channel for w in workers],
-        on_failover=resync,
+        on_failover=lambda mgr: rewind_slots(workers),
     ).start()
 
     ChaosController(net, plan).arm()
@@ -440,7 +378,7 @@ def run_agg_chaos(
         "chaos_reordered": m.total("chaos.reordered"),
     }
     snapshot = m.snapshot()
-    digest = _digest(
+    digest = run_digest(
         {
             "app": "agg",
             "seed": seed,
@@ -466,8 +404,3 @@ def run_agg_chaos(
         trace_events=sum(len(t.hops) for t in net.tracer.traces.values()),
     )
 
-
-SCENARIOS = {
-    "cache": run_cache_chaos,
-    "agg": run_agg_chaos,
-}

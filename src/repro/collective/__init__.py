@@ -20,7 +20,7 @@ broadcast down).  See ``docs/COLLECTIVE.md``.
 * :mod:`repro.collective.tenant` — the same tree submitted to
   :mod:`repro.service` as a multi-tenant workload;
 * :mod:`repro.collective.scenarios` — the chaos acceptance run
-  (``python -m repro.collective``).
+  (``python -m repro.scenario collective``).
 """
 
 from repro.collective.baseline import RingResult, run_host_ring
@@ -64,7 +64,6 @@ from repro.collective.tree import (
 # `import repro.apps.agg` doesn't cycle through this package.
 _LAZY = {
     "CollectiveRunResult": "scenarios",
-    "default_collective_plan": "scenarios",
     "run_collective_chaos": "scenarios",
     "ABSTRACT_ROOT": "tenant",
     "CollectiveTenant": "tenant",
@@ -107,7 +106,6 @@ __all__ = [
     "chunk_exponent",
     "compile_role",
     "contribution",
-    "default_collective_plan",
     "dequantize_chunk",
     "leaf_device",
     "quantization_error_bound",

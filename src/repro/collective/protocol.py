@@ -76,6 +76,30 @@ def require_all_done(workers, *, what: str = "worker", label: str = "chunk") -> 
         )
 
 
+def rewind_slots(streams) -> None:
+    """Failover resync for streams sharing one switch's slots.
+
+    The switch that held the in-flight rounds lost them (crash, or a
+    live migration), so each slot in flight on any stream restarts at
+    the earliest round any of the ``streams`` still needs there.
+    Streams already past it re-contribute: their data is still at hand,
+    and re-receiving a completed result simply advances them.
+
+    Slots go in ascending order and streams in the given order; each
+    :meth:`SlotStream.resync_slot` schedules a send, so that order is
+    part of what a seed replays.
+    """
+    slots = sorted(
+        {s for st in streams for s, c in st._slot_chunk.items() if c is not None}
+    )
+    for slot in slots:
+        chunks = [c for c in (st._slot_chunk.get(slot) for st in streams) if c is not None]
+        if chunks:
+            base = min(chunks)
+            for st in streams:
+                st.resync_slot(slot, base)
+
+
 class SlotStream:
     """One host's windowed, version-alternating slot stream.
 

@@ -9,28 +9,32 @@ fabric traffic (including every retransmission the chaos forced) still
 below the host-ring baseline running over its reliable transport under
 the same link faults.
 
-Mirrors :mod:`repro.chaos.scenarios`: same fault plan shape, same
-sha256-over-sorted-JSON determinism digest.
+Shares the harness of :mod:`repro.chaos.scenarios`: the same
+:func:`~repro.chaos.plan.acceptance_plan` and
+:func:`~repro.chaos.report.run_digest`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.chaos.inject import ChaosController
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults
+from repro.chaos.plan import ChaosPlan, acceptance_plan
+from repro.chaos.report import run_digest
 from repro.collective.baseline import run_host_ring
 from repro.collective.job import contribution, shard_range
+from repro.collective.protocol import rewind_slots
 from repro.collective.tree import (
     build_collective_cluster,
     leaf_device,
     standby_device,
 )
 from repro.reliability import FailoverManager
+
+#: the acceptance plan crashes rack 0's primary ToR mid-run.
+CRASH = {"crash_node": f"d{leaf_device(0)}", "crash_at_ns": 60_000}
 
 
 @dataclass
@@ -58,60 +62,6 @@ class CollectiveRunResult:
     plan: dict = field(default_factory=dict)
     metrics: dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "num_racks": self.num_racks,
-            "workers_per_rack": self.workers_per_rack,
-            "tensor_elements": self.tensor_elements,
-            "finished": self.finished,
-            "failed_over": self.failed_over,
-            "sim_ns": self.sim_ns,
-            "finished_at_ns": self.finished_at_ns,
-            "max_abs_error": self.max_abs_error,
-            "error_bound": self.error_bound,
-            "innetwork_link_bytes": self.innetwork_link_bytes,
-            "ring_link_bytes": self.ring_link_bytes,
-            "hops_saved": self.hops_saved,
-            "digest": self.digest,
-            "counters": self.counters,
-            "plan": self.plan,
-        }
-
-
-def default_collective_plan(
-    seed: int,
-    *,
-    loss: float = 0.05,
-    duplicate: float = 0.05,
-    reorder: float = 0.05,
-    jitter_ns: int = 1_000,
-    crash_at_ns: Optional[int] = 60_000,
-) -> ChaosPlan:
-    """The acceptance fault model, aimed at rack 0's primary ToR."""
-    faults = LinkFaults(
-        loss=loss,
-        duplicate=duplicate,
-        reorder=reorder,
-        reorder_delay_ns=15_000,
-        jitter_ns=jitter_ns,
-    )
-    events = []
-    if crash_at_ns is not None:
-        events.append(
-            ChaosEvent(at_ns=crash_at_ns, kind="crash", node=f"d{leaf_device(0)}")
-        )
-    return ChaosPlan(seed=seed, default_link=faults, events=events)
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
 
 def run_collective_chaos(
     seed: int = 7,
@@ -137,7 +87,7 @@ def run_collective_chaos(
     earliest round any of them still has in flight per slot — the slot
     protocol then rebuilds the lost rack partials on the standby.
     """
-    plan = plan if plan is not None else default_collective_plan(seed)
+    plan = plan if plan is not None else acceptance_plan(seed, **CRASH)
     cluster = build_collective_cluster(
         num_racks,
         workers_per_rack,
@@ -173,27 +123,9 @@ def run_collective_chaos(
         rack_workers = [w for w in cluster.workers if w.rack == rack]
 
         def resync(mgr: FailoverManager, rack_workers=rack_workers) -> None:
-            # The crashed ToR took its rack partials with it: restart
-            # each stream's slots at the earliest round any rack worker
-            # still needs there (see run_agg_chaos for the argument).
-            for attr in ("exp", "reduce"):
-                streams = [getattr(w, attr) for w in rack_workers]
-                slots: set[int] = set()
-                for s in streams:
-                    slots.update(
-                        sl for sl, c in s._slot_chunk.items() if c is not None
-                    )
-                for slot in sorted(slots):
-                    chunks = [
-                        c
-                        for c in (s._slot_chunk.get(slot) for s in streams)
-                        if c is not None
-                    ]
-                    if not chunks:
-                        continue
-                    base = min(chunks)
-                    for s in streams:
-                        s.resync_slot(slot, base)
+            # The crashed ToR took its rack partials with it.
+            rewind_slots([w.exp for w in rack_workers])
+            rewind_slots([w.reduce for w in rack_workers])
             for w in rack_workers:
                 w.set_device(mgr.standby_id)
 
@@ -299,7 +231,7 @@ def run_collective_chaos(
         else None
     )
     snapshot = m.snapshot()
-    digest = _digest(
+    digest = run_digest(
         {
             "app": "collective",
             "op": op,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.collective.job import CollectiveJob, CollectiveWorker, OPS
-from repro.collective.protocol import require_all_done
+from repro.collective.protocol import require_all_done, rewind_slots
 from repro.collective.tree import COLL_MCAST_GROUP, compile_role
 from repro.netsim import HOST
 from repro.runtime import KernelSpec
@@ -127,21 +127,8 @@ class CollectiveTenant:
         land on completed slots and are answered by re-multicast, which
         the hosts reject by round tag.
         """
-        for attr in ("exp", "reduce"):
-            streams = [getattr(w, attr) for w in self.workers if getattr(w, attr)]
-            slots: set[int] = set()
-            for s in streams:
-                slots.update(sl for sl, c in s._slot_chunk.items() if c is not None)
-            for slot in sorted(slots):
-                chunks = [
-                    c
-                    for c in (s._slot_chunk.get(slot) for s in streams)
-                    if c is not None
-                ]
-                if chunks:
-                    base = min(chunks)
-                    for s in streams:
-                        s.resync_slot(slot, base)
+        rewind_slots([w.exp for w in self.workers if w.exp])
+        rewind_slots([w.reduce for w in self.workers if w.reduce])
 
 
 def submit_collective_tenant(

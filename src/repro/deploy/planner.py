@@ -151,7 +151,7 @@ class PhysicalSwitch:
 
 #: the kwargs ``PhysicalFabric.add_switch`` accepts (everything on
 #: PhysicalSwitch except its identity).
-_HEADROOM_FIELDS = frozenset(
+HEADROOM_FIELDS = frozenset(
     f.name for f in dataclasses.fields(PhysicalSwitch)
 ) - {"switch_id"}
 
@@ -165,11 +165,11 @@ class PhysicalFabric:
     links: list[tuple[NodeKey, NodeKey]] = field(default_factory=list)
 
     def add_switch(self, switch_id: int, **headroom) -> PhysicalSwitch:
-        unknown = sorted(set(headroom) - _HEADROOM_FIELDS)
+        unknown = sorted(set(headroom) - HEADROOM_FIELDS)
         if unknown:
             raise TypeError(
                 f"add_switch() got unknown headroom key "
-                f"{unknown[0]!r}; valid keys: {sorted(_HEADROOM_FIELDS)}"
+                f"{unknown[0]!r}; valid keys: {sorted(HEADROOM_FIELDS)}"
             )
         if switch_id in self.switches:
             raise ValueError(f"switch {switch_id} is already in the fabric")

@@ -132,12 +132,6 @@ class Simulator:
         self._cancelled_in_queue = 0
         self.compactions += 1
 
-    def _pop(self) -> Event:
-        ev = heapq.heappop(self._queue)[2]
-        # Out of the heap: a later cancel() must not touch our accounting.
-        ev._on_cancel = None
-        return ev
-
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Process events until the queue drains, the horizon passes, or
         the event budget is exhausted."""

@@ -24,7 +24,7 @@ at the edge.  See ``docs/RPC.md``.
 * :mod:`repro.rpc.tenant` — the same roles submitted to
   :mod:`repro.service` as a migratable tenant;
 * :mod:`repro.rpc.scenarios` — the chaos acceptance run
-  (``python -m repro.rpc``).
+  (``python -m repro.scenario rpc``).
 """
 
 from repro.rpc.baseline import (
@@ -78,7 +78,6 @@ from repro.rpc.server import RpcServer
 # not drag the whole service stack in.
 _LAZY = {
     "RpcRunResult": "scenarios",
-    "default_rpc_plan": "scenarios",
     "run_rpc_chaos": "scenarios",
     "ABSTRACT_EDGE": "tenant",
     "ABSTRACT_SG": "tenant",
@@ -126,7 +125,6 @@ __all__ = [
     "compare_gather",
     "compile_rpc_role",
     "decode",
-    "default_rpc_plan",
     "encode",
     "finish_topk",
     "finish_vote",

@@ -22,20 +22,20 @@ crash of rack 0's primary ToR:
   standby path, so it gets the kinder, crash-free plan and still
   loses).
 
-Mirrors :mod:`repro.collective.scenarios`: same fault-plan shape, same
-sha256-over-sorted-JSON determinism digest.
+Shares the harness of :mod:`repro.collective.scenarios`: the same
+:func:`~repro.chaos.plan.acceptance_plan`, crash target and
+:func:`~repro.chaos.report.run_digest`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass as runtime_dataclass
 from dataclasses import field
 from typing import Optional
 
 from repro.chaos.inject import ChaosController
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults
+from repro.chaos.plan import ChaosPlan, acceptance_plan
+from repro.chaos.report import run_digest
 from repro.reliability import FailoverManager
 from repro.rpc.baseline import run_host_fanout
 from repro.rpc.cluster import (
@@ -48,6 +48,8 @@ from repro.rpc.policies import POLICY_CODES, merge_words
 from repro.service.qos import TenantQoS
 
 GET_VALUE_WORDS = 4
+#: the acceptance plan crashes rack 0's primary ToR mid-run.
+CRASH = {"crash_node": f"d{tor_device(0)}", "crash_at_ns": 60_000}
 
 
 # -- the scenario schema ----------------------------------------------------------
@@ -128,37 +130,6 @@ def scenario_handlers(bump_counts: dict[int, int]) -> dict:
     return {"get": get, "bump": bump, "msum": query, "mmin": query, "mmax": query}
 
 
-def default_rpc_plan(
-    seed: int,
-    *,
-    loss: float = 0.05,
-    duplicate: float = 0.05,
-    reorder: float = 0.05,
-    jitter_ns: int = 1_000,
-    crash_at_ns: Optional[int] = 60_000,
-) -> ChaosPlan:
-    """The acceptance fault model, aimed at rack 0's primary ToR."""
-    faults = LinkFaults(
-        loss=loss,
-        duplicate=duplicate,
-        reorder=reorder,
-        reorder_delay_ns=15_000,
-        jitter_ns=jitter_ns,
-    )
-    events = []
-    if crash_at_ns is not None:
-        events.append(
-            ChaosEvent(at_ns=crash_at_ns, kind="crash", node=f"d{tor_device(0)}")
-        )
-    return ChaosPlan(seed=seed, default_link=faults, events=events)
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
 @runtime_dataclass
 class RpcRunResult:
     """What one RPC chaos run produced."""
@@ -182,28 +153,6 @@ class RpcRunResult:
     counters: dict[str, object] = field(default_factory=dict)
     plan: dict = field(default_factory=dict)
     metrics: dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "num_racks": self.num_racks,
-            "servers_per_rack": self.servers_per_rack,
-            "clients": self.clients,
-            "unary_calls": self.unary_calls,
-            "gather_calls": self.gather_calls,
-            "memo_hits": self.memo_hits,
-            "replays": self.replays,
-            "failed_over": self.failed_over,
-            "sim_ns": self.sim_ns,
-            "finished_at_ns": self.finished_at_ns,
-            "innetwork_link_bytes": self.innetwork_link_bytes,
-            "fanout_link_bytes": self.fanout_link_bytes,
-            "digest": self.digest,
-            "counters": self.counters,
-            "plan": self.plan,
-        }
 
 
 def run_rpc_chaos(
@@ -231,7 +180,7 @@ def run_rpc_chaos(
     the edge's ``URoute`` entries — clients keep retrying with fresh
     sequence numbers and never learn the ToR changed.
     """
-    plan = plan if plan is not None else default_rpc_plan(seed)
+    plan = plan if plan is not None else acceptance_plan(seed, **CRASH)
     schema = scenario_schema()
     bump_counts: dict[int, int] = {}
     cluster = build_rpc_cluster(
@@ -399,7 +348,7 @@ def run_rpc_chaos(
         "multicast_hops_saved": m.total("net.multicast.hops_saved"),
     }
     snapshot = m.snapshot()
-    digest = _digest(
+    digest = run_digest(
         {
             "app": "rpc",
             "seed": seed,

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.collective.protocol import rewind_slots
 from repro.netsim import HOST
-from repro.reliability import ReliableChannel
 from repro.rpc.client import RpcClient
 from repro.rpc.cluster import SG_MCAST_GROUP, TokenRefiller, compile_rpc_role
 from repro.rpc.idl import RpcSchema
@@ -100,10 +100,7 @@ class RpcTenant:
         the retargeted channel.
         """
         for c in self.clients:
-            stream = c.gather_stream
-            for slot, chunk in sorted(stream._slot_chunk.items()):
-                if chunk is not None:
-                    stream.resync_slot(slot, chunk)
+            rewind_slots([c.gather_stream])
 
 
 def submit_rpc_tenant(

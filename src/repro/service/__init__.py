@@ -17,7 +17,7 @@ topologies against whatever headroom earlier tenants left behind.
   evict / crash-driven live migration (journal replay + channel
   retargeting) / defragmentation, with per-tenant telemetry;
 * :mod:`repro.service.workload` — JSON event plans replayed through the
-  simulator (``python -m repro.service``).
+  simulator (``python -m repro.scenario service``).
 """
 
 from repro.service.admission import (

@@ -22,36 +22,22 @@ Drivers wire the paper's evaluation apps to the multi-tenant service:
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.chaos.plan import check_list, check_number, check_object, parse_node
+from repro.chaos.report import run_digest
 from repro.core import compile_netcl
-from repro.deploy.planner import AbstractTopology, PhysicalFabric
-from repro.netsim import DEVICE, HOST
+from repro.deploy.planner import HEADROOM_FIELDS, AbstractTopology, PhysicalFabric
+from repro.netsim import HOST
 from repro.reliability import BackoffPolicy, ReliableChannel
 from repro.runtime import KernelSpec, Message
 from repro.runtime.message import unpack
 from repro.service.admission import AdmissionError
 from repro.service.orchestrator import INCService, Tenant, TenantState
 from repro.service.qos import TenantQoS
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _node(tag: str):
-    """Decode ``"h3"`` / ``"d2"`` link-endpoint notation."""
-    kind, ident = tag[0], int(tag[1:])
-    if kind == "h":
-        return HOST(ident)
-    if kind == "d":
-        return DEVICE(ident)
-    raise ValueError(f"bad node {tag!r}: want h<id> or d<id>")
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +68,35 @@ class ServicePlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ServicePlan":
+        """Load a plan; :class:`ValueError` for any malformed document."""
+        check_object(d, "service plan", ("seed", "horizon_ms", "heartbeat_us", "fabric", "events"))
+        fabric = check_object(d.get("fabric", {}), "fabric", ("switches", "hosts", "links"))
+        for sw in check_list(fabric.get("switches", []), "fabric switches"):
+            check_object(sw, "fabric switch", {"id"} | HEADROOM_FIELDS, ("id",))
+            check_number(sw["id"], "switch id", integer=True)
+        for h in check_list(fabric.get("hosts", []), "fabric hosts"):
+            check_number(h, "host id", integer=True)
+        for link in check_list(fabric.get("links", []), "fabric links"):
+            if len(check_list(link, "fabric link")) != 2:
+                raise ValueError(f"fabric link {link!r} must name two nodes")
+            for node in link:
+                parse_node(node)
+        events = check_list(d.get("events", []), "events")
+        for ev in events:
+            check_object(ev, "service event", required=("kind",))
+            required, optional = EVENT_KEYS.get(ev["kind"], (None, ()))
+            if required is None:
+                raise ValueError(f"unknown service event kind {ev['kind']!r}")
+            check_object(ev, f"{ev['kind']} event", {"kind", "at_us", *required, *optional}, required)
+            check_number(ev.get("at_us", 0), "event at_us", integer=True)
+            if ev["kind"] == "submit" and ev["app"] not in DRIVERS:
+                raise ValueError(f"unknown app {ev['app']!r} (valid: {', '.join(sorted(DRIVERS))})")
         return cls(
-            seed=int(d.get("seed", 7)),
-            horizon_ms=float(d.get("horizon_ms", 20.0)),
-            heartbeat_us=int(d.get("heartbeat_us", 150)),
-            fabric=dict(d.get("fabric", {})),
-            events=list(d.get("events", [])),
+            seed=check_number(d.get("seed", 7), "seed", integer=True, lo=-math.inf),
+            horizon_ms=float(check_number(d.get("horizon_ms", 20.0), "horizon_ms")),
+            heartbeat_us=check_number(d.get("heartbeat_us", 150), "heartbeat_us", integer=True, lo=1),
+            fabric=dict(fabric),
+            events=list(events),
         )
 
     @classmethod
@@ -102,8 +111,23 @@ class ServicePlan:
         for h in self.fabric.get("hosts", []):
             fab.add_host(int(h))
         for a, b in self.fabric.get("links", []):
-            fab.link(_node(a), _node(b))
+            fab.link(parse_node(a), parse_node(b))
         return fab
+
+
+#: event kind -> (required keys, optional keys) besides ``kind`` and
+#: ``at_us``; a submit's optional keys are its app driver's parameters.
+EVENT_KEYS = {
+    "submit": (
+        ("tenant", "app", "hosts"),
+        ("qos", "expect", "tensor_elements", "window", "devices", "requests", "spacing_us"),
+    ),
+    "evict": (("tenant",), ()),
+    "crash": (("switch",), ()),
+    "restart": (("switch",), ()),
+    "defragment": ((), ()),
+    "headroom": (("switch",), HEADROOM_FIELDS),
+}
 
 
 def default_service_plan(seed: int = 7, *, crash_at_us: Optional[int] = 400) -> ServicePlan:
@@ -221,23 +245,11 @@ class AggDriver(AppDriver):
             w.start()
 
     def on_migrate(self, service: INCService, tenant: Tenant) -> None:
-        """Post-migration resync: the slice rebooted, so every slot
-        restarts at the earliest chunk any worker still has in flight."""
-        if not self.launched:
-            return
-        slots: set[int] = set()
-        for w in self.workers:
-            slots.update(s for s, c in w._slot_chunk.items() if c is not None)
-        for slot in sorted(slots):
-            chunks = [
-                c
-                for c in (w._slot_chunk.get(slot) for w in self.workers)
-                if c is not None
-            ]
-            if chunks:
-                base = min(chunks)
-                for w in self.workers:
-                    w.resync_slot(slot, base)
+        """Post-migration resync: the slice rebooted and lost its slots."""
+        from repro.collective.protocol import rewind_slots
+
+        if self.launched:
+            rewind_slots(self.workers)
 
     def finish(self) -> dict:
         errors: List[str] = []
@@ -257,7 +269,7 @@ class AggDriver(AppDriver):
             "completed": sum(w.stats.chunks_completed for w in self.workers),
             "expected": sum(w.num_chunks for w in self.workers),
             "retransmissions": sum(w.stats.retransmissions for w in self.workers),
-            "checksum": _digest(
+            "checksum": run_digest(
                 {
                     "results": [w.result for w in self.workers],
                     "finished": [w.stats.finished_at_ns for w in self.workers],
@@ -386,7 +398,7 @@ class CacheDriver(AppDriver):
             "completed": len(self.client.completed),
             "expected": len(self.schedule),
             "cache_hits": hits,
-            "checksum": _digest(
+            "checksum": run_digest(
                 {
                     "records": [
                         [r.op, r.key, r.value, r.served_by_cache, r.done_ns]
@@ -458,7 +470,7 @@ class EchoDriver(AppDriver):
             "completed": len(self.replies),
             "expected": self.requests,
             "rate_limited": limited,
-            "checksum": _digest({"replies": sorted(self.replies.items())}),
+            "checksum": run_digest({"replies": sorted(self.replies.items())}),
         }
 
 
@@ -509,18 +521,6 @@ class ServiceRunResult:
     rejected: List[dict] = field(default_factory=list)
     report: dict = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "sim_ns": self.sim_ns,
-            "digest": self.digest,
-            "tenants": self.tenants,
-            "rejected": self.rejected,
-            "report": self.report,
-        }
 
 
 def run_service_plan(plan: ServicePlan) -> ServiceRunResult:
@@ -613,7 +613,7 @@ def run_service_plan(plan: ServicePlan) -> ServiceRunResult:
 
     report = service.report()
     snapshot = net.metrics.snapshot()
-    digest = _digest(
+    digest = run_digest(
         {
             "seed": plan.seed,
             "outcomes": outcomes,

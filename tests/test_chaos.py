@@ -10,17 +10,19 @@ from repro.chaos import (
     ChaosEvent,
     ChaosPlan,
     LinkFaults,
+    acceptance_plan,
     apply_faults,
-    default_chaos_plan,
     link_name,
     parse_node,
     run_agg_chaos,
     run_cache_chaos,
 )
-from repro.chaos.cli import main as chaos_main
+from repro.chaos.report import result_dict
+from repro.chaos.scenarios import CACHE_CRASH
 from repro.core import compile_netcl
 from repro.netsim import DEVICE, HOST, Link, Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
+from repro.scenario import main as scenario_main
 
 ECHO = "_kernel(1) void k(unsigned x, unsigned &y) { y = x + 1; return ncl::reflect(); }"
 
@@ -81,7 +83,7 @@ class TestPlan:
         assert plan.faults_for(HOST(2), DEVICE(1)) is None
 
     def test_default_chaos_plan_roundtrip(self):
-        plan = default_chaos_plan(7)
+        plan = acceptance_plan(7, **CACHE_CRASH)
         back = ChaosPlan.from_json(plan.to_json())
         assert back.to_dict() == plan.to_dict()
         assert any(e.kind == "crash" for e in back.events)
@@ -220,29 +222,29 @@ class TestScenarios:
 
     def test_result_dict_is_json_serializable(self):
         r = run_cache_chaos(seed=7)
-        d = json.loads(json.dumps(r.to_dict()))
+        d = json.loads(json.dumps(result_dict(r)))
         assert d["app"] == "cache" and d["ok"] and d["seed"] == 7
         assert d["plan"]["seed"] == 7
 
 
 class TestCli:
     def test_cache_json_run(self, capsys):
-        assert chaos_main(["--app", "cache", "--seed", "7", "--json"]) == 0
+        assert scenario_main(["cache", "--seed", "7", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["failed_over"]
 
     def test_dump_plan(self, capsys):
-        assert chaos_main(["--app", "agg", "--seed", "5", "--dump-plan"]) == 0
+        assert scenario_main(["agg", "--seed", "5", "--dump-plan"]) == 0
         plan = ChaosPlan.from_json(capsys.readouterr().out)
         assert plan.seed == 5
 
     def test_plan_file_roundtrip(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"
-        plan_file.write_text(default_chaos_plan(7, loss=0.02).to_json())
-        assert chaos_main(["--app", "cache", "--seed", "7", "--plan", str(plan_file)]) == 0
+        plan_file.write_text(acceptance_plan(7, **CACHE_CRASH, loss=0.02).to_json())
+        assert scenario_main(["cache", "--seed", "7", "--plan", str(plan_file)]) == 0
         assert "ok" in capsys.readouterr().out.lower()
 
     def test_no_crash_flag_skips_failover(self, capsys):
-        assert chaos_main(["--app", "cache", "--seed", "7", "--no-crash", "--json"]) == 0
+        assert scenario_main(["cache", "--seed", "7", "--no-crash", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and not out["failed_over"]

@@ -7,13 +7,13 @@ import random
 
 import pytest
 
+from repro.chaos.plan import ChaosPlan, LinkFaults
 from repro.collective import (
     CollectiveCluster,
     StallError,
     build_collective_cluster,
     compile_role,
     contribution,
-    default_collective_plan,
     leaf_device,
     run_collective_chaos,
     run_host_ring,
@@ -205,8 +205,7 @@ class TestHostRingBaseline:
 
     def test_ring_survives_loss_via_retransmission(self):
         tensors = _tensors(4, 64, seed=9)
-        plan = default_collective_plan(21, duplicate=0.0, reorder=0.0,
-                                       jitter_ns=0, crash_at_ns=None)
+        plan = ChaosPlan(seed=21, default_link=LinkFaults(loss=0.05))
         res = run_host_ring(2, 2, tensors, seed=21, plan=plan)
         assert res.retransmissions > 0
         exact = _exact_sum(tensors)
@@ -243,6 +242,16 @@ class TestChaosAcceptance:
         a = run_collective_chaos(7, tensor_elements=256)
         b = run_collective_chaos(8, tensor_elements=256)
         assert a.digest != b.digest
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: after rack 0's ToR fails over, every rank gets "
+        "47.75 for element 2704 (exact sum -20.006); seeds 1-23 pass",
+    )
+    def test_seed0_8192_elements_sums_correctly_after_failover(self):
+        r = run_collective_chaos(0, tensor_elements=8192, baseline=False)
+        assert r.failed_over
+        assert r.ok, r.errors[:3]
 
 
 class TestTenantMode:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.chaos.plan import acceptance_plan
 from repro.deploy import PhysicalFabric
 from repro.netsim import DEVICE, HOST
 from repro.rpc import (
@@ -38,8 +39,8 @@ from repro.rpc.cluster import EDGE_DEVICE, SG_DEVICE
 from repro.rpc.scenarios import (
     BumpReq,
     GetReq,
+    CRASH,
     QueryReq,
-    default_rpc_plan,
     get_value,
     query_partial,
     scenario_handlers,
@@ -385,7 +386,7 @@ class TestScenario:
         r = run_rpc_chaos(
             5, servers_per_rack=2, num_clients=2,
             gets_per_client=6, bumps_per_client=2, gathers_per_client=4,
-            plan=default_rpc_plan(5, crash_at_ns=None), baseline=False,
+            plan=acceptance_plan(5, crash_node=CRASH["crash_node"], crash_at_ns=None), baseline=False,
         )
         assert r.ok, r.errors
         assert not r.failed_over

@@ -21,7 +21,7 @@ from repro.service import (
     default_service_plan,
     run_service_plan,
 )
-from repro.service.cli import main as service_main
+from repro.scenario import main as scenario_main
 
 ECHO = "_kernel(1) void k(uint32_t x, uint32_t &y) { y = x + %d; return ncl::reflect(); }"
 MANAGED = """
@@ -328,17 +328,17 @@ class TestWorkloadReplay:
         assert again.to_dict() == plan.to_dict()
 
     def test_cli_runs_and_dumps(self, capsys, tmp_path):
-        assert service_main(["--dump-plan"]) == 0
+        assert scenario_main(["service", "--dump-plan"]) == 0
         dumped = capsys.readouterr().out
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(dumped)
-        assert service_main(["--plan", str(plan_file)]) == 0
+        assert scenario_main(["service", "--plan", str(plan_file)]) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "fabric utilization" in out
         assert "bulk breakdown" in out
 
     def test_cli_json_output(self, capsys):
-        assert service_main(["--no-crash", "--json"]) == 0
+        assert scenario_main(["service", "--no-crash", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
         assert data["report"]["service"]["migrations"] == 0
