@@ -1,8 +1,8 @@
 """Translation validation: prove each middle-end pass behavior-preserving.
 
 The NetCL pipeline has no formal semantics to diff symbolically, but it
-has something almost as good: :class:`repro.ir.interp.IRInterpreter` is
-the executable reference semantics, and kernels are finite, loop-free
+has something almost as good: :meth:`repro.ir.interp.IRInterpreter.interpret_kernel`
+is the executable reference semantics, and kernels are finite, loop-free
 message processors.  So the harness validates *behavior*, not syntax:
 
 1. Before the pipeline touches a kernel, capture its behavior — run the
@@ -190,7 +190,8 @@ def capture_behavior(
     *,
     device_id: int = 1,
 ) -> BehaviorCapture:
-    """Run ``fn`` over ``vectors`` against one fresh shared state."""
+    """Run ``fn`` over ``vectors`` against one fresh shared state, on the
+    reference interpreter (not the lowered executor devices run)."""
     state = GlobalState()
     interp = IRInterpreter(module, state, device_id=device_id)
     cap = BehaviorCapture()
@@ -199,7 +200,7 @@ def capture_behavior(
             {k: (list(v) if isinstance(v, list) else v) for k, v in vec.items()}
         )
         try:
-            outcome = interp.run_kernel(fn, msg)
+            outcome = interp.interpret_kernel(fn, msg)
         except InterpError:
             cap.trap_index = i
             break

@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.netsim.net import Network, NodeKey
+from repro.netsim.net import DEVICE, Network, NodeKey
 from repro.runtime.message import NetCLPacket
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults, link_name, parse_node
+from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults, PlanError, link_name, parse_node
 
 
 class ChaosController:
@@ -40,9 +40,15 @@ class ChaosController:
         self._armed = False
 
     def arm(self) -> "ChaosController":
-        """Install the fault hook and schedule all plan events."""
+        """Install the fault hook and schedule all plan events.
+
+        Raises :class:`PlanError` (before arming anything) for an event
+        naming a switch or link this network does not have.
+        """
         if self._armed:
             return self
+        for event in self.plan.events:
+            self._check_event(event)
         self._armed = True
         self.network.fault_injector = self
         now = self.network.sim.now_ns
@@ -54,6 +60,19 @@ class ChaosController:
         if self.network.fault_injector is self:
             self.network.fault_injector = None
         self._armed = False
+
+    def _check_event(self, event: ChaosEvent) -> None:
+        net = self.network
+        if event.kind in ("crash", "restart"):
+            key = parse_node(event.node)
+            if key != DEVICE(key[1]) or key[1] not in net.switches:
+                raise PlanError(
+                    f"{event.kind} event: {event.node} is not a switch of this network"
+                )
+        elif frozenset((parse_node(event.a), parse_node(event.b))) not in net.links:
+            raise PlanError(
+                f"{event.kind} event: {event.a} -- {event.b} is not a link of this network"
+            )
 
     # -- scheduled events --------------------------------------------------------
     def _fire(self, event: ChaosEvent) -> None:

@@ -21,6 +21,11 @@ from typing import Iterable, Optional
 from repro.netsim.net import DEVICE, HOST, NodeKey
 
 
+class PlanError(ValueError):
+    """A well-formed plan that names a node or link the run does not have
+    (raised when the plan is armed, before anything runs)."""
+
+
 def parse_node(name: str) -> NodeKey:
     """``"h1"`` -> HOST(1), ``"d2"`` -> DEVICE(2)."""
     if not isinstance(name, str) or name[:1] not in ("h", "d") or not name[1:].isdigit():

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +69,279 @@ def _dtype_for(width: int):
         if width <= w:
             return dt
     return np.uint64
+
+
+# -- op semantics --------------------------------------------------------------
+#
+# Every IR operator is defined exactly once, as the text of a Python
+# expression over plain ints (the ``*_expr`` builders).  The reference
+# interpreter evaluates that text through a lambda compiled once per
+# operator and type (``binop``, ``icmp``, ``cast``, ``atomic_rmw``,
+# ``intrinsic``); the kernel executor (:mod:`repro.ir.executor`) pastes the
+# same text into the code it generates.  Operand sources handed to the
+# builders are already masked to the operand type unless stated otherwise.
+
+
+def _fail(message: str):
+    raise InterpError(message)
+
+
+def _sdiv(sa: int, sb: int) -> int:
+    if sb == 0:
+        _fail("division by zero")
+    q = abs(sa) // abs(sb)
+    return -q if (sa < 0) != (sb < 0) else q
+
+
+def _srem(sa: int, sb: int) -> int:
+    if sb == 0:
+        _fail("remainder by zero")
+    r = abs(sa) % abs(sb)
+    return -r if sa < 0 else r
+
+
+def _csum16r(*args: int) -> int:
+    """One's-complement 16-bit checksum (v1model intrinsic)."""
+    s = 0
+    for a in args:
+        s += a & 0xFFFF
+        s = (s & 0xFFFF) + (s >> 16)
+    return (~s) & 0xFFFF
+
+
+#: helpers the expression text may call; bound in every evaluation namespace.
+OP_NAMESPACE: dict[str, object] = {
+    "_fail": _fail,
+    "_sdiv": _sdiv,
+    "_srem": _srem,
+    "_csum16r": _csum16r,
+    **{f"_hash_{name}": fn for name, fn in hashing.HASH_FUNCTIONS.items()},
+}
+
+
+def _literal(src: str) -> Optional[int]:
+    """The value of an operand source that is a non-negative int literal."""
+    return int(src) if src.isdigit() else None
+
+
+def _signed(src: str, ty: IntType) -> str:
+    """A masked operand reinterpreted as ``ty``'s signed value (identity
+    for unsigned types, matching :meth:`IntType.wrap`)."""
+    if not ty.signed:
+        return src
+    h = 1 << (ty.width - 1)
+    return f"(({src} ^ {h}) - {h})"
+
+
+def binop_expr(kind: BinOpKind, ty: IntType, a: str, b: str) -> str:
+    """Result of ``a kind b`` at type ``ty``, masked to ``ty``."""
+    m, w = ty.mask, ty.width
+    if kind == BinOpKind.ADD:
+        return f"(({a} + {b}) & {m})"
+    if kind == BinOpKind.SUB:
+        return f"(({a} - {b}) & {m})"
+    if kind == BinOpKind.MUL:
+        return f"(({a} * {b}) & {m})"
+    if kind == BinOpKind.UDIV:
+        return f"({a} // {b} if {b} else _fail('division by zero'))"
+    if kind == BinOpKind.UREM:
+        return f"({a} % {b} if {b} else _fail('remainder by zero'))"
+    if kind == BinOpKind.SDIV:
+        return f"(_sdiv({_signed(a, ty)}, {_signed(b, ty)}) & {m})"
+    if kind == BinOpKind.SREM:
+        return f"(_srem({_signed(a, ty)}, {_signed(b, ty)}) & {m})"
+    if kind == BinOpKind.AND:
+        return f"({a} & {b})"
+    if kind == BinOpKind.OR:
+        return f"({a} | {b})"
+    if kind == BinOpKind.XOR:
+        return f"({a} ^ {b})"
+    shift = _literal(b)
+    if kind == BinOpKind.SHL:
+        if shift is not None:
+            return f"(({a} << {shift}) & {m})" if shift < w else "0"
+        return f"(({a} << {b}) & {m} if {b} < {w} else 0)"
+    if kind == BinOpKind.LSHR:
+        if shift is not None:
+            return f"({a} >> {shift})" if shift < w else "0"
+        return f"({a} >> {b} if {b} < {w} else 0)"
+    if kind == BinOpKind.ASHR:
+        by = str(min(shift, w - 1)) if shift is not None else f"min({b}, {w - 1})"
+        return f"(({_signed(a, ty)} >> {by}) & {m})"
+    if kind == BinOpKind.SADDU:
+        return f"min({a} + {b}, {m})"
+    if kind == BinOpKind.SSUBU:
+        return f"max({a} - {b}, 0)"
+    raise InterpError(f"unhandled binop {kind}")  # pragma: no cover
+
+
+_ICMP_OPS = {
+    ICmpPred.EQ: "==", ICmpPred.NE: "!=",
+    ICmpPred.ULT: "<", ICmpPred.ULE: "<=", ICmpPred.UGT: ">", ICmpPred.UGE: ">=",
+    ICmpPred.SLT: "<", ICmpPred.SLE: "<=", ICmpPred.SGT: ">", ICmpPred.SGE: ">=",
+}
+_SIGNED_PREDS = frozenset({ICmpPred.SLT, ICmpPred.SLE, ICmpPred.SGT, ICmpPred.SGE})
+
+
+def icmp_expr(pred: ICmpPred, ty: IntType, a: str, b: str) -> str:
+    """1 or 0.  Signed predicates compare the operands' two's-complement
+    reading whatever ``ty``'s declared signedness: flipping the sign bit
+    maps signed order onto unsigned order."""
+    if pred in _SIGNED_PREDS:
+        h = 1 << (ty.width - 1)
+        a, b = f"({a} ^ {h})", f"({b} ^ {h})"
+    return f"(1 if {a} {_ICMP_OPS[pred]} {b} else 0)"
+
+
+def cast_expr(kind: CastKind, src: IntType, dst: IntType, v: str) -> str:
+    if kind == CastKind.ZEXT:
+        return v
+    if kind == CastKind.SEXT:
+        h = 1 << (src.width - 1)
+        return f"((({v} ^ {h}) - {h}) & {dst.mask})"
+    return f"({v} & {dst.mask})"  # trunc, bitcast
+
+
+def atomic_rmw_expr(op: AtomicOp, saturating: bool, mask: int, old: str, arg: str) -> str:
+    """The new memory value of an arithmetic RMW (not READ or CAS)."""
+    if op == AtomicOp.ADD:
+        return f"min({old} + {arg}, {mask})" if saturating else f"(({old} + {arg}) & {mask})"
+    if op == AtomicOp.SUB:
+        return f"max({old} - {arg}, 0)" if saturating else f"(({old} - {arg}) & {mask})"
+    if op == AtomicOp.AND:
+        return f"({old} & {arg})"
+    if op == AtomicOp.OR:
+        return f"({old} | {arg})"
+    if op == AtomicOp.XOR:
+        return f"({old} ^ {arg})"
+    if op == AtomicOp.MIN:
+        return f"min({old}, {arg})"
+    if op == AtomicOp.MAX:
+        return f"max({old}, {arg})"
+    if op in (AtomicOp.EXCH, AtomicOp.WRITE):
+        return arg
+    raise InterpError(f"unhandled atomic op {op}")  # pragma: no cover
+
+
+#: intrinsic name -> number of arguments it reads
+_INTRINSIC_ARITY = {
+    "device.id": 0, "device.kind": 0, "ncl.rand": 0,
+    "ncl.bswap": 1, "ncl.clz": 1, "ncl.ctz": 1, "ncl.popcount": 1,
+    "ncl.bit_chk": 2, "ncl.min": 2, "ncl.max": 2, "ncl.sadd": 2, "ncl.ssub": 2,
+    **{f"ncl.{name}": 1 for name in hashing.HASH_FUNCTIONS},
+}
+
+
+def intrinsic_expr(name: str, out: IntType, arg_types: Sequence, args: Sequence[str]) -> str:
+    """Result of builtin ``name``.  ``args`` are the raw (unmasked) argument
+    values; ``_device_id`` and ``_rng`` name the executing device's id and
+    random generator."""
+    m = out.mask
+    if name == "ncl.csum16r":
+        return f"_csum16r({', '.join(args)})"
+    arity = _INTRINSIC_ARITY.get(name)
+    if arity is None:
+        return f"_fail({f'unknown intrinsic {name}'!r})"
+    if len(args) < arity:
+        return f"_fail({f'{name} expects {arity} arguments'!r})"
+    if name == "device.id":
+        return f"(_device_id & {m})"
+    if name == "device.kind":
+        return "1"  # switch
+    if name == "ncl.rand":
+        return f"_rng.randrange(0, {m + 1})"
+    a = args[0]
+    w = arg_types[0].width
+    fn_name = name.split(".", 1)[1]
+    if fn_name in hashing.HASH_FUNCTIONS:
+        return f"(_hash_{fn_name}({a}, {w}) & {m})"
+    if name == "ncl.bswap":
+        return f"int.from_bytes(({a} & {m}).to_bytes({out.width // 8}, 'big'), 'little')"
+    if name == "ncl.clz":
+        return f"(({w} - {a}.bit_length()) & {m})"
+    if name == "ncl.ctz":
+        return f"(({a} & -{a}).bit_length() - 1 if {a} else {w})"
+    if name == "ncl.popcount":
+        return f"({a}.bit_count() & {m})"
+    b = args[1]
+    if name == "ncl.bit_chk":
+        return f"(({a} >> {b}) & 1)"
+    if name == "ncl.min":
+        return f"min({a}, {b})"
+    if name == "ncl.max":
+        return f"max({a}, {b})"
+    if name == "ncl.sadd":
+        return f"min({a} + {b}, {m})"
+    return f"max({a} - {b}, 0)"  # ncl.ssub
+
+
+def _compile_lambda(params: str, expr: str):
+    return eval(f"lambda {params}: {expr}", dict(OP_NAMESPACE))  # noqa: S307
+
+
+@lru_cache(maxsize=None)
+def _binop_fn(kind: BinOpKind, ty: IntType):
+    return _compile_lambda("a, b", binop_expr(kind, ty, "a", "b"))
+
+
+@lru_cache(maxsize=None)
+def _icmp_fn(pred: ICmpPred, ty: IntType):
+    return _compile_lambda("a, b", icmp_expr(pred, ty, "a", "b"))
+
+
+@lru_cache(maxsize=None)
+def _cast_fn(kind: CastKind, src: IntType, dst: IntType):
+    return _compile_lambda("v", cast_expr(kind, src, dst, "v"))
+
+
+@lru_cache(maxsize=None)
+def _atomic_fn(op: AtomicOp, saturating: bool, mask: int):
+    return _compile_lambda("old, arg", atomic_rmw_expr(op, saturating, mask, "old", "arg"))
+
+
+@lru_cache(maxsize=None)
+def _intrinsic_fn(name: str, out: IntType, arg_types: tuple):
+    srcs = [f"args[{i}]" for i in range(len(arg_types))]
+    return _compile_lambda("args, _device_id, _rng", intrinsic_expr(name, out, arg_types, srcs))
+
+
+def binop(kind: BinOpKind, ty: IntType, a: int, b: int) -> int:
+    """``a kind b`` at type ``ty`` (operands masked to ``ty`` first)."""
+    return _binop_fn(kind, ty)(a & ty.mask, b & ty.mask)
+
+
+def icmp(pred: ICmpPred, ty: IntType, a: int, b: int) -> int:
+    """1 if ``a pred b`` at type ``ty`` holds, else 0."""
+    return _icmp_fn(pred, ty)(a & ty.mask, b & ty.mask)
+
+
+def cast(kind: CastKind, src: IntType, dst: IntType, v: int) -> int:
+    return _cast_fn(kind, src, dst)(v & src.mask)
+
+
+def atomic_rmw(op: AtomicOp, saturating: bool, mask: int, old: int, arg: int) -> int:
+    """New memory value of an arithmetic RMW on masked ``old`` and ``arg``."""
+    return _atomic_fn(op, saturating, mask)(old, arg)
+
+
+def intrinsic(
+    name: str,
+    out: IntType,
+    arg_types: Sequence,
+    args: Sequence[int],
+    *,
+    device_id: int,
+    rng: random.Random,
+) -> int:
+    return _intrinsic_fn(name, out, tuple(arg_types))(args, device_id, rng)
+
+
+def table_lookup(entries: Sequence[LookupEntry], key: int) -> Optional[LookupEntry]:
+    """The first entry of a lookup table matching ``key``."""
+    for entry in entries:
+        if entry.matches(key):
+            return entry
+    return None
 
 
 class GlobalState:
@@ -133,6 +407,19 @@ class GlobalState:
             return [fixed, *indices]
         return list(indices)
 
+    def resolve(self, gv: GlobalVar) -> Optional[tuple[GlobalVar, tuple[int, ...], object]]:
+        """Where accesses to ``gv`` land, without declaring anything: the
+        base declaration, the index prefix a partition fixes, and the base
+        storage (register array or table entry list).  None while the base
+        is undeclared (the first access declares it)."""
+        base = self._base_name(gv.name)
+        meta = self._meta.get(base)
+        if meta is None:
+            return None
+        fixed = getattr(gv, "fixed_outer", None)
+        store = self._tables[base] if meta.space.is_lookup else self._registers[base]
+        return meta, (() if fixed is None else (fixed,)), store
+
     # -- register access -------------------------------------------------------
     def _flat_index(self, gv: GlobalVar, indices: Sequence[int]) -> int:
         dims = gv.shape.dims
@@ -177,8 +464,9 @@ class GlobalState:
         """
         base, meta = self._meta_for(gv)
         flat = self._flat_index(meta, self._effective_indices(gv, indices))
-        ty = meta.elem
-        old = int(self._registers[base][flat])
+        mask = meta.elem.mask
+        cells = self._registers[base]
+        old = int(cells[flat])
 
         if op == AtomicOp.READ:
             return old
@@ -186,49 +474,24 @@ class GlobalState:
         if op == AtomicOp.CAS:
             if compare is None:
                 raise InterpError("CAS requires a compare operand")
-            if old == (compare & ty.mask):
-                self._registers[base][flat] = (operand or 0) & ty.mask
+            if old == (compare & mask):
+                cells[flat] = (operand or 0) & mask
             return old
 
-        if operand is None and op != AtomicOp.READ:
+        if operand is None:
             raise InterpError(f"atomic {op.value} requires an operand")
-        arg = (operand or 0) & ty.mask
+        new = atomic_rmw(op, saturating, mask, old, operand & mask)
 
-        if op == AtomicOp.ADD:
-            raw = old + arg
-            new = min(raw, ty.mask) if saturating else raw & ty.mask
-        elif op == AtomicOp.SUB:
-            raw = old - arg
-            new = max(raw, 0) if saturating else raw & ty.mask
-        elif op == AtomicOp.AND:
-            new = old & arg
-        elif op == AtomicOp.OR:
-            new = old | arg
-        elif op == AtomicOp.XOR:
-            new = old ^ arg
-        elif op == AtomicOp.MIN:
-            new = min(old, arg)
-        elif op == AtomicOp.MAX:
-            new = max(old, arg)
-        elif op in (AtomicOp.EXCH, AtomicOp.WRITE):
-            new = arg
-        else:  # pragma: no cover - enum exhaustive
-            raise InterpError(f"unhandled atomic op {op}")
-
-        performed = cond is None or cond != 0
-        if performed:
-            self._registers[base][flat] = new
-        if not performed:
+        if cond is not None and cond == 0:
             return old
+        cells[flat] = new
         return new if return_new else old
 
     # -- lookup access -------------------------------------------------------------
     def lookup(self, gv: GlobalVar, key: int) -> tuple[bool, Optional[int]]:
         base, _ = self._meta_for(gv)
-        for entry in self._tables[base]:
-            if entry.matches(key):
-                return True, entry.value
-        return False, None
+        entry = table_lookup(self._tables[base], key)
+        return (False, None) if entry is None else (True, entry.value)
 
     # -- whole-state capture ---------------------------------------------------
     def snapshot(self) -> dict:
@@ -360,7 +623,14 @@ class ActionOutcome:
 
 
 class IRInterpreter:
-    """Executes a kernel function over a message and a device's global state."""
+    """Executes a kernel function over a message and a device's global state.
+
+    :meth:`run_kernel` runs each function as Python code lowered from its
+    IR on first use (:mod:`repro.ir.executor`), cached per function on this
+    instance.  :meth:`interpret_kernel` walks the IR one instruction at a
+    time; it is the reference semantics translation validation uses and the
+    executor is tested against.
+    """
 
     def __init__(
         self,
@@ -376,13 +646,42 @@ class IRInterpreter:
         self.device_id = device_id
         self.rng = rng or random.Random(0)
         self.max_steps = max_steps
+        #: lowered code per (function, run as a kernel rather than a callee)
+        self._code: dict[tuple[Function, bool], Callable] = {}
         for gv in module.globals.values():
             if gv.placed_at(device_id):
                 state.declare(gv)
 
-    # -- public entry ---------------------------------------------------------
+    # -- executor ---------------------------------------------------------------
     def run_kernel(self, fn: Function, msg: KernelMessage) -> ActionOutcome:
         """Process one message with ``fn``; mutates ``msg`` and global state."""
+        return self._run_lowered(fn, True, msg)
+
+    def run_netfn(self, fn: Function, args: Sequence[int]) -> Optional[int]:
+        """Call a net function with by-value scalar arguments."""
+        _check_netfn_args(fn)
+        return self._run_lowered(fn, False, args)
+
+    def _run_lowered(self, fn: Function, as_kernel: bool, arg):
+        code = self._code.get((fn, as_kernel))
+        if code is None:
+            from repro.ir.executor import lower_function
+
+            code = self._code[fn, as_kernel] = lower_function(fn, self, as_kernel=as_kernel)
+        try:
+            return code(arg)
+        except UnboundLocalError as e:
+            raise InterpError(f"use of unevaluated value in {fn.name}: {e}") from None
+
+    def callee(self, name: str) -> Function:
+        fn = self.module.functions.get(name)
+        if fn is None:
+            raise InterpError(f"call to unknown function {name}")
+        return fn
+
+    # -- reference ------------------------------------------------------------------
+    def interpret_kernel(self, fn: Function, msg: KernelMessage) -> ActionOutcome:
+        """:meth:`run_kernel`, one IR instruction at a time."""
         env: dict[int, int] = {}
         locals_: dict[int, int | list[int]] = {}
         for arg in fn.args:
@@ -394,20 +693,12 @@ class IRInterpreter:
         # Any path without an explicit action has the implicit pass() (§V-A).
         return ActionOutcome(ActionKind.PASS)
 
-    def run_netfn(self, fn: Function, args: Sequence[int]) -> Optional[int]:
-        """Call a net function with by-value scalar arguments (tests only)."""
-        env: dict[int, int] = {}
-        for formal, actual in zip(fn.args, args):
-            if formal.byref or formal.is_array:
-                raise InterpError(
-                    "direct net-function interpretation supports by-value "
-                    "scalars only; compile (inline) first"
-                )
-            env[id(formal)] = actual
+    def _interpret_netfn(self, fn: Function, args: Sequence[int]) -> Optional[int]:
+        _check_netfn_args(fn)
+        env = {id(formal): actual for formal, actual in zip(fn.args, args)}
         result = self._exec(fn, env, {}, KernelMessage({}))
         return result if isinstance(result, int) else None
 
-    # -- execution loop ----------------------------------------------------------
     def _exec(
         self,
         fn: Function,
@@ -427,11 +718,10 @@ class IRInterpreter:
                 if steps > self.max_steps:
                     raise InterpError(f"step limit exceeded in {fn.name}")
                 if isinstance(inst, Phi):
-                    assert prev_block is not None
-                    val = inst.incoming_for(prev_block)
+                    val = None if prev_block is None else inst.incoming_for(prev_block)
                     if val is None:
                         raise InterpError(
-                            f"phi {inst.name} has no incoming for {prev_block.name}"
+                            f"phi {inst.name} has no incoming value on entry to {block.name}"
                         )
                     phi_updates.append((inst, self._val(val, env)))
                     continue
@@ -439,7 +729,7 @@ class IRInterpreter:
                     for node, v in phi_updates:
                         env[id(node)] = v
                     phi_updates = []
-                result = self._step(fn, inst, env, locals_, msg)
+                result = self._step(inst, env, locals_, msg)
                 if isinstance(result, ActionOutcome):
                     return result
                 if isinstance(result, _ReturnValue):
@@ -454,7 +744,6 @@ class IRInterpreter:
                 raise InterpError(f"block {block.name} fell through without terminator")
             prev_block, block = block, next_block
 
-    # -- single instruction ----------------------------------------------------------
     def _val(self, v: Value, env: dict[int, int]) -> int:
         if isinstance(v, Constant):
             return v.value
@@ -464,16 +753,17 @@ class IRInterpreter:
             return env[id(v)]
         raise InterpError(f"use of unevaluated value {v.short()}")
 
-    def _step(self, fn, inst: Instruction, env, locals_, msg):
+    def _step(self, inst: Instruction, env, locals_, msg):
+        val = self._val
         if isinstance(inst, BinOp):
-            env[id(inst)] = self._binop(inst, env)
+            env[id(inst)] = binop(inst.kind, inst.type, val(inst.a, env), val(inst.b, env))
         elif isinstance(inst, ICmp):
-            env[id(inst)] = self._icmp(inst, env)
+            env[id(inst)] = icmp(inst.pred, inst.a.type, val(inst.a, env), val(inst.b, env))
         elif isinstance(inst, Select):
-            c = self._val(inst.cond, env)
-            env[id(inst)] = self._val(inst.t if c else inst.f, env)
+            c = val(inst.cond, env)
+            env[id(inst)] = val(inst.t if c else inst.f, env)
         elif isinstance(inst, Cast):
-            env[id(inst)] = self._cast(inst, env)
+            env[id(inst)] = cast(inst.kind, inst.value.type, inst.type, val(inst.value, env))
         elif isinstance(inst, Alloca):
             if inst.is_scalar:
                 locals_.setdefault(id(inst), 0)
@@ -490,80 +780,80 @@ class IRInterpreter:
             else:
                 env[id(inst)] = slot  # type: ignore[assignment]
         elif isinstance(inst, Store):
-            val = self._val(inst.value, env) & self._mask(inst.slot.elem)
+            v = val(inst.value, env) & value_mask(inst.slot.elem)
             if inst.indices:
                 arr = locals_.setdefault(
                     id(inst.slot), [0] * inst.slot.shape.num_elements
                 )
                 flat = self._flat_local(inst.slot, inst.indices, env)
-                arr[flat] = val  # type: ignore[index]
+                arr[flat] = v  # type: ignore[index]
             else:
-                locals_[id(inst.slot)] = val
+                locals_[id(inst.slot)] = v
         elif isinstance(inst, LoadMsg):
-            idx = self._val(inst.index, env) if inst.index is not None else None
-            env[id(inst)] = msg.get(inst.field, idx) & self._mask(inst.type)
+            idx = val(inst.index, env) if inst.index is not None else None
+            env[id(inst)] = msg.get(inst.field, idx) & value_mask(inst.type)
         elif isinstance(inst, StoreMsg):
-            idx = self._val(inst.index, env) if inst.index is not None else None
-            msg.set(inst.field, self._val(inst.value, env) & self._mask(inst.value.type), idx)
+            idx = val(inst.index, env) if inst.index is not None else None
+            msg.set(inst.field, val(inst.value, env) & value_mask(inst.value.type), idx)
         elif isinstance(inst, LoadGlobal):
-            idxs = [self._val(i, env) for i in inst.indices]
+            idxs = [val(i, env) for i in inst.indices]
             env[id(inst)] = self.state.read(inst.gv, idxs)
         elif isinstance(inst, StoreGlobal):
-            idxs = [self._val(i, env) for i in inst.indices]
-            self.state.write(inst.gv, idxs, self._val(inst.value, env))
+            idxs = [val(i, env) for i in inst.indices]
+            self.state.write(inst.gv, idxs, val(inst.value, env))
         elif isinstance(inst, AtomicRMW):
-            idxs = [self._val(i, env) for i in inst.indices]
+            idxs = [val(i, env) for i in inst.indices]
             env[id(inst)] = self.state.atomic(
                 inst.gv,
                 idxs,
                 inst.op,
-                self._val(inst.operand, env) if inst.operand is not None else None,
-                cond=self._val(inst.cond, env) if inst.cond is not None else None,
-                compare=self._val(inst.compare, env) if inst.compare is not None else None,
+                val(inst.operand, env) if inst.operand is not None else None,
+                cond=val(inst.cond, env) if inst.cond is not None else None,
+                compare=val(inst.compare, env) if inst.compare is not None else None,
                 return_new=inst.return_new,
                 saturating=inst.saturating,
             )
         elif isinstance(inst, Lookup):
-            hit, _ = self.state.lookup(inst.gv, self._val(inst.key, env))
+            hit, _ = self.state.lookup(inst.gv, val(inst.key, env))
             env[id(inst)] = 1 if hit else 0
         elif isinstance(inst, LookupVal):
-            hit, value = self.state.lookup(inst.gv, self._val(inst.key, env))
+            hit, value = self.state.lookup(inst.gv, val(inst.key, env))
             if hit and value is not None:
-                env[id(inst)] = value & self._mask(inst.type)
+                env[id(inst)] = value & value_mask(inst.type)
             else:
-                env[id(inst)] = self._val(inst.default, env)
+                env[id(inst)] = val(inst.default, env)
         elif isinstance(inst, Intrinsic):
-            env[id(inst)] = self._intrinsic(inst, env)
+            env[id(inst)] = intrinsic(
+                inst.callee,
+                inst.type,
+                [a.type for a in inst.args],
+                [val(a, env) for a in inst.args],
+                device_id=self.device_id,
+                rng=self.rng,
+            )
         elif isinstance(inst, Call):
-            callee = self.module.functions.get(inst.callee)
-            if callee is None:
-                raise InterpError(f"call to unknown function {inst.callee}")
-            ret = self.run_netfn(callee, [self._val(a, env) for a in inst.args])
+            callee = self.callee(inst.callee)
+            ret = self._interpret_netfn(callee, [val(a, env) for a in inst.args])
             if ret is not None:
                 env[id(inst)] = ret
         elif isinstance(inst, Jmp):
             return inst.target
         elif isinstance(inst, Br):
-            return inst.then_ if self._val(inst.cond, env) else inst.else_
+            return inst.then_ if val(inst.cond, env) else inst.else_
         elif isinstance(inst, Ret):
             if inst.action is not None:
                 target = (
-                    self._val(inst.action.target, env)
+                    val(inst.action.target, env)
                     if inst.action.target is not None
                     else None
                 )
                 return ActionOutcome(inst.action.kind, target)
             if inst.value is not None:
-                return _ReturnValue(self._val(inst.value, env))
+                return _ReturnValue(val(inst.value, env))
             return _ReturnValue(None)
         else:  # pragma: no cover - instruction set exhaustive
             raise InterpError(f"unhandled instruction {inst!r}")
         return None
-
-    # -- helpers -------------------------------------------------------------------
-    @staticmethod
-    def _mask(ty) -> int:
-        return ty.mask if isinstance(ty, IntType) else (1 << 64) - 1
 
     def _flat_local(self, slot: Alloca, indices: Sequence[Value], env) -> int:
         flat = 0
@@ -574,147 +864,19 @@ class IRInterpreter:
             flat = flat * dim + idx
         return flat
 
-    def _binop(self, inst: BinOp, env) -> int:
-        ty = inst.type
-        assert isinstance(ty, IntType)
-        a = self._val(inst.a, env) & ty.mask
-        b = self._val(inst.b, env) & ty.mask
-        k = inst.kind
-        if k == BinOpKind.ADD:
-            r = a + b
-        elif k == BinOpKind.SUB:
-            r = a - b
-        elif k == BinOpKind.MUL:
-            r = a * b
-        elif k == BinOpKind.UDIV:
-            if b == 0:
-                raise InterpError("division by zero")
-            r = a // b
-        elif k == BinOpKind.SDIV:
-            sa, sb = ty.wrap(a), ty.wrap(b)
-            if sb == 0:
-                raise InterpError("division by zero")
-            q = abs(sa) // abs(sb)
-            r = -q if (sa < 0) != (sb < 0) else q
-        elif k == BinOpKind.UREM:
-            if b == 0:
-                raise InterpError("remainder by zero")
-            r = a % b
-        elif k == BinOpKind.SREM:
-            sa, sb = ty.wrap(a), ty.wrap(b)
-            if sb == 0:
-                raise InterpError("remainder by zero")
-            r = abs(sa) % abs(sb)
-            if sa < 0:
-                r = -r
-        elif k == BinOpKind.AND:
-            r = a & b
-        elif k == BinOpKind.OR:
-            r = a | b
-        elif k == BinOpKind.XOR:
-            r = a ^ b
-        elif k == BinOpKind.SHL:
-            r = a << (b % ty.width) if b < ty.width else 0
-        elif k == BinOpKind.LSHR:
-            r = a >> b if b < ty.width else 0
-        elif k == BinOpKind.ASHR:
-            r = ty.wrap(a) >> min(b, ty.width - 1)
-        elif k == BinOpKind.SADDU:
-            r = min(a + b, ty.mask)
-        elif k == BinOpKind.SSUBU:
-            r = max(a - b, 0)
-        else:  # pragma: no cover
-            raise InterpError(f"unhandled binop {k}")
-        return r & ty.mask
 
-    def _icmp(self, inst: ICmp, env) -> int:
-        ty = inst.a.type
-        assert isinstance(ty, IntType)
-        ua = self._val(inst.a, env) & ty.mask
-        ub = self._val(inst.b, env) & ty.mask
-        sa, sb = ty.wrap(ua) if ty.signed else ua, ty.wrap(ub) if ty.signed else ub
-        # signed predicates reinterpret regardless of declared signedness
-        swa = ua - (1 << ty.width) if ua >> (ty.width - 1) else ua
-        swb = ub - (1 << ty.width) if ub >> (ty.width - 1) else ub
-        p = inst.pred
-        table = {
-            ICmpPred.EQ: ua == ub,
-            ICmpPred.NE: ua != ub,
-            ICmpPred.ULT: ua < ub,
-            ICmpPred.ULE: ua <= ub,
-            ICmpPred.UGT: ua > ub,
-            ICmpPred.UGE: ua >= ub,
-            ICmpPred.SLT: swa < swb,
-            ICmpPred.SLE: swa <= swb,
-            ICmpPred.SGT: swa > swb,
-            ICmpPred.SGE: swa >= swb,
-        }
-        return 1 if table[p] else 0
+def value_mask(ty) -> int:
+    """Mask applied when a value of type ``ty`` is stored."""
+    return ty.mask if isinstance(ty, IntType) else (1 << 64) - 1
 
-    def _cast(self, inst: Cast, env) -> int:
-        src_ty = inst.value.type
-        assert isinstance(src_ty, IntType) and isinstance(inst.type, IntType)
-        v = self._val(inst.value, env) & src_ty.mask
-        if inst.kind == CastKind.ZEXT:
-            return v
-        if inst.kind == CastKind.SEXT:
-            if v >> (src_ty.width - 1):
-                v |= inst.type.mask & ~src_ty.mask
-            return v & inst.type.mask
-        if inst.kind == CastKind.TRUNC:
-            return v & inst.type.mask
-        return v & inst.type.mask  # bitcast
 
-    def _intrinsic(self, inst: Intrinsic, env) -> int:
-        name = inst.callee
-        args = [self._val(a, env) for a in inst.args]
-        out_ty = inst.type
-        assert isinstance(out_ty, IntType)
-        if name == "device.id":
-            return self.device_id & out_ty.mask
-        if name == "device.kind":
-            return 1  # switch
-        if name == "ncl.rand":
-            return self.rng.randrange(0, out_ty.mask + 1)
-        if name.startswith("ncl.crc") or name in ("ncl.xor16", "ncl.identity"):
-            fn_name = name.split(".", 1)[1]
-            h = hashing.HASH_FUNCTIONS[fn_name]
-            width = inst.args[0].type.width if inst.args else 32
-            return hashing.truncate(h(args[0], width), out_ty.width)
-        if name == "ncl.bswap":
-            width = out_ty.width
-            nbytes = width // 8
-            v = args[0] & out_ty.mask
-            return int.from_bytes(v.to_bytes(nbytes, "big"), "little")
-        if name == "ncl.clz":
-            w = inst.args[0].type.width
-            v = args[0]
-            return (w - v.bit_length()) & out_ty.mask
-        if name == "ncl.ctz":
-            v = args[0]
-            if v == 0:
-                return inst.args[0].type.width
-            return (v & -v).bit_length() - 1
-        if name == "ncl.popcount":
-            return bin(args[0]).count("1") & out_ty.mask
-        if name == "ncl.bit_chk":
-            return (args[0] >> args[1]) & 1
-        if name == "ncl.min":
-            return min(args[0], args[1])
-        if name == "ncl.max":
-            return max(args[0], args[1])
-        if name == "ncl.sadd":
-            return min(args[0] + args[1], out_ty.mask)
-        if name == "ncl.ssub":
-            return max(args[0] - args[1], 0)
-        if name == "ncl.csum16r":
-            # One's-complement 16-bit checksum (v1model intrinsic).
-            s = 0
-            for a in args:
-                s += a & 0xFFFF
-                s = (s & 0xFFFF) + (s >> 16)
-            return (~s) & 0xFFFF
-        raise InterpError(f"unknown intrinsic {name}")
+def _check_netfn_args(fn: Function) -> None:
+    for formal in fn.args:
+        if formal.byref or formal.is_array:
+            raise InterpError(
+                "direct net-function interpretation supports by-value "
+                "scalars only; compile (inline) first"
+            )
 
 
 @dataclass

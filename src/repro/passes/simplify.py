@@ -18,7 +18,6 @@ from repro.ir.instructions import (
     BinOpKind,
     Br,
     Cast,
-    CastKind,
     Constant,
     ICmp,
     ICmpPred,
@@ -28,6 +27,7 @@ from repro.ir.instructions import (
     Select,
     Value,
 )
+from repro.ir.interp import InterpError, binop, cast, icmp
 from repro.ir.module import Function
 from repro.ir.types import IntType
 
@@ -59,16 +59,17 @@ def _fold_one(inst: Instruction) -> Optional[Value]:
         ty = inst.type
         assert isinstance(ty, IntType)
         if a is not None and b is not None:
-            v = _eval_binop(inst.kind, a & ty.mask, b & ty.mask, ty)
-            if v is not None:
-                return Constant(ty, v)
+            try:
+                return Constant(ty, binop(inst.kind, ty, a, b))
+            except InterpError:  # division by zero: left to trap at run time
+                pass
         return _simplify_binop(inst)
     if isinstance(inst, ICmp):
         a, b = _as_const(inst.a), _as_const(inst.b)
         if a is not None and b is not None:
             ty = inst.a.type
             assert isinstance(ty, IntType)
-            return Constant(inst.type, _eval_icmp(inst.pred, a, b, ty))  # type: ignore[arg-type]
+            return Constant(inst.type, icmp(inst.pred, ty, a, b))  # type: ignore[arg-type]
         if inst.a is inst.b:
             if inst.pred in (ICmpPred.EQ, ICmpPred.ULE, ICmpPred.UGE, ICmpPred.SLE, ICmpPred.SGE):
                 return Constant(inst.type, 1)  # type: ignore[arg-type]
@@ -89,10 +90,7 @@ def _fold_one(inst: Instruction) -> Optional[Value]:
         if v is not None:
             src = inst.value.type
             assert isinstance(src, IntType)
-            u = v & src.mask
-            if inst.kind == CastKind.SEXT and (u >> (src.width - 1)):
-                u |= ty.mask & ~src.mask
-            return Constant(ty, u & ty.mask)
+            return Constant(ty, cast(inst.kind, src, ty, v))
         if isinstance(inst.value.type, IntType) and inst.value.type == ty:
             return inst.value
         return None
@@ -107,67 +105,6 @@ def _fold_one(inst: Instruction) -> Optional[Value]:
             return non_self[0]
         return None
     return None
-
-
-def _eval_binop(kind: BinOpKind, a: int, b: int, ty: IntType) -> Optional[int]:
-    try:
-        if kind == BinOpKind.ADD:
-            return (a + b) & ty.mask
-        if kind == BinOpKind.SUB:
-            return (a - b) & ty.mask
-        if kind == BinOpKind.MUL:
-            return (a * b) & ty.mask
-        if kind == BinOpKind.AND:
-            return a & b
-        if kind == BinOpKind.OR:
-            return a | b
-        if kind == BinOpKind.XOR:
-            return a ^ b
-        if kind == BinOpKind.SHL:
-            return (a << b) & ty.mask if b < ty.width else 0
-        if kind == BinOpKind.LSHR:
-            return a >> b if b < ty.width else 0
-        if kind == BinOpKind.ASHR:
-            return (ty.wrap(a) >> min(b, ty.width - 1)) & ty.mask
-        if kind == BinOpKind.UDIV and b != 0:
-            return (a // b) & ty.mask
-        if kind == BinOpKind.UREM and b != 0:
-            return (a % b) & ty.mask
-        if kind == BinOpKind.SADDU:
-            return min(a + b, ty.mask)
-        if kind == BinOpKind.SSUBU:
-            return max(a - b, 0)
-        if kind == BinOpKind.SDIV and ty.wrap(b) != 0:
-            sa, sb = ty.wrap(a), ty.wrap(b)
-            q = abs(sa) // abs(sb)
-            return ty.to_unsigned(-q if (sa < 0) != (sb < 0) else q)
-        if kind == BinOpKind.SREM and ty.wrap(b) != 0:
-            sa, sb = ty.wrap(a), ty.wrap(b)
-            r = abs(sa) % abs(sb)
-            return ty.to_unsigned(-r if sa < 0 else r)
-    except (OverflowError, ValueError):  # pragma: no cover - defensive
-        return None
-    return None
-
-
-def _eval_icmp(pred: ICmpPred, a: int, b: int, ty: IntType) -> int:
-    ua, ub = a & ty.mask, b & ty.mask
-    sa = ua - (1 << ty.width) if ua >> (ty.width - 1) else ua
-    sb = ub - (1 << ty.width) if ub >> (ty.width - 1) else ub
-    return int(
-        {
-            ICmpPred.EQ: ua == ub,
-            ICmpPred.NE: ua != ub,
-            ICmpPred.ULT: ua < ub,
-            ICmpPred.ULE: ua <= ub,
-            ICmpPred.UGT: ua > ub,
-            ICmpPred.UGE: ua >= ub,
-            ICmpPred.SLT: sa < sb,
-            ICmpPred.SLE: sa <= sb,
-            ICmpPred.SGT: sa > sb,
-            ICmpPred.SGE: sa >= sb,
-        }[pred]
-    )
 
 
 def _simplify_binop(inst: BinOp) -> Optional[Value]:

@@ -177,37 +177,8 @@ class NetCLDevice:
             "__from": packet.from_,
             "__to": packet.to,
         }
-        off = 0
-        data = packet.data
-        for f in spec.fields:
-            nb = f.bytes_per_element
-            if f.tail and off >= len(data):
-                # §VIII tail extension: the sender omitted this field; the
-                # device appends it (zero-initialized) to the message.
-                fields[f.name] = 0 if f.count == 1 else [0] * f.count
-                continue
-            if f.count == 1:
-                fields[f.name] = int.from_bytes(data[off : off + nb], "big")
-            else:
-                fields[f.name] = [
-                    int.from_bytes(data[off + j * nb : off + (j + 1) * nb], "big")
-                    for j in range(f.count)
-                ]
-            off += f.total_bytes
+        spec.decode_into(packet.data, fields)
         return KernelMessage(fields)
-
-    def _encode(self, spec: KernelSpec, msg: KernelMessage) -> bytes:
-        out = bytearray()
-        for f in spec.fields:
-            nb = f.bytes_per_element
-            mask = (1 << f.width_bits) - 1
-            v = msg.fields.get(f.name, 0)
-            if isinstance(v, list):
-                for x in v:
-                    out.extend((int(x) & mask).to_bytes(nb, "big"))
-            else:
-                out.extend((int(v) & mask).to_bytes(nb, "big"))
-        return bytes(out)
 
     # -- action translation ----------------------------------------------------------------
     def _apply_action(
@@ -219,7 +190,7 @@ class NetCLDevice:
     ) -> ForwardDecision:
         kind = outcome.kind
         out = packet.copy()
-        out.data = self._encode(spec, msg)
+        out.data = spec.encode(msg.fields)
         # This device becomes the message's previous computing node.
         out.from_ = self.device_id
         out.act = ACT_CODES[kind.value]

@@ -20,7 +20,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import field as dataclass_field
+from typing import NamedTuple, Optional, Sequence, Union
 
 from repro.ir.module import Function
 
@@ -90,12 +91,52 @@ class FieldSpec:
         return self.bytes_per_element * self.count
 
 
+class FieldLayout(NamedTuple):
+    """Where one field sits in the data section, resolved once per spec."""
+
+    name: str
+    offset: int
+    nbytes: int  #: bytes per element
+    count: int
+    mask: int  #: keeps the field's ``width_bits``
+    tail: bool
+    #: big-endian struct of the whole field (None for odd element sizes)
+    codec: Optional[struct.Struct]
+
+
+#: struct codes of the element sizes ``struct`` packs natively
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """The full specification of one computation's messages (§V-A)."""
 
     computation: int
     fields: tuple[FieldSpec, ...]
+    layout: tuple[FieldLayout, ...] = dataclass_field(init=False, repr=False, compare=False)
+    data_bytes: int = dataclass_field(init=False, repr=False, compare=False)
+    #: one struct over the whole data section (None if some element size
+    #: has no struct code)
+    _codec: Optional[struct.Struct] = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        layout = []
+        offset = 0
+        for f in self.fields:
+            nb = f.bytes_per_element
+            code = _STRUCT_CODES.get(nb)
+            codec = struct.Struct(f">{f.count}{code}") if code else None
+            layout.append(
+                FieldLayout(f.name, offset, nb, f.count, (1 << f.width_bits) - 1, f.tail, codec)
+            )
+            offset += nb * f.count
+        whole = None
+        if all(entry.codec is not None for entry in layout):
+            whole = struct.Struct(">" + "".join(e.codec.format[1:] for e in layout))
+        object.__setattr__(self, "layout", tuple(layout))
+        object.__setattr__(self, "data_bytes", offset)
+        object.__setattr__(self, "_codec", whole)
 
     @classmethod
     def from_kernel(cls, fn: Function) -> "KernelSpec":
@@ -108,10 +149,6 @@ class KernelSpec:
         )
 
     @property
-    def data_bytes(self) -> int:
-        return sum(f.total_bytes for f in self.fields)
-
-    @property
     def size(self) -> int:
         """Total NetCL bytes on the wire (header + data)."""
         return HEADER_SIZE + self.data_bytes
@@ -121,6 +158,58 @@ class KernelSpec:
             if f.name == name:
                 return f
         raise KeyError(name)
+
+    # -- device-side codec ------------------------------------------------------
+    def decode_into(self, data: bytes, fields: dict) -> None:
+        """Add every field of the data section ``data`` to ``fields``.
+
+        A field past the end of a short section reads as zeros; a §VIII
+        tail field the sender omitted is appended zero-initialized.
+        """
+        if self._codec is not None and len(data) >= self.data_bytes:
+            values = self._codec.unpack_from(data)
+            at = 0
+            for name, _, _, count, _, _, _ in self.layout:
+                if count == 1:
+                    fields[name] = values[at]
+                else:
+                    fields[name] = list(values[at : at + count])
+                at += count
+            return
+        for name, off, nb, count, _, tail, _ in self.layout:
+            if tail and off >= len(data):
+                fields[name] = 0 if count == 1 else [0] * count
+            elif count == 1:
+                fields[name] = int.from_bytes(data[off : off + nb], "big")
+            else:
+                fields[name] = [
+                    int.from_bytes(data[off + j * nb : off + (j + 1) * nb], "big")
+                    for j in range(count)
+                ]
+
+    def encode(self, fields: dict) -> bytes:
+        """The data section carrying ``fields`` (a missing field is 0);
+        each element is masked to its field's width."""
+        if self._codec is not None:
+            flat: list[int] = []
+            try:
+                for name, _, _, count, mask, _, _ in self.layout:
+                    v = fields.get(name, 0)
+                    if v.__class__ is list:
+                        if len(v) != count:
+                            raise ValueError(name)
+                        flat.extend([x & mask for x in v])
+                    else:
+                        flat.append(v & mask)
+                return self._codec.pack(*flat)
+            except (TypeError, ValueError, struct.error):
+                pass  # not plain ints of the declared counts: element by element
+        out = bytearray()
+        for name, _, nb, _, mask, _, _ in self.layout:
+            v = fields.get(name, 0)
+            for x in v if isinstance(v, list) else (v,):
+                out.extend((int(x) & mask).to_bytes(nb, "big"))
+        return bytes(out)
 
 
 @dataclass
@@ -159,35 +248,36 @@ def pack(msg: Message, spec: KernelSpec, values: Values) -> bytes:
         )
     # §VIII tail extension: a trailing tail field whose value is None is
     # omitted from the wire entirely.
-    fields = list(spec.fields)
+    layout = list(spec.layout)
     send_values = list(values)
     data_bytes = spec.data_bytes
-    if fields and fields[-1].tail and send_values[-1] is None:
-        data_bytes -= fields[-1].total_bytes
-        fields.pop()
+    if layout and layout[-1].tail and send_values[-1] is None:
+        data_bytes -= layout[-1].nbytes * layout[-1].count
+        layout.pop()
         send_values.pop()
     out = bytearray(
         _HEADER.pack(
             msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, data_bytes
         )
     )
-    for f, v in zip(fields, send_values):
-        nb = f.bytes_per_element
-        mask = (1 << f.width_bits) - 1
+    for (name, _, nb, count, mask, _, codec), v in zip(layout, send_values):
         if v is None:
-            out.extend(b"\x00" * f.total_bytes)
+            out.extend(bytes(nb * count))
         elif isinstance(v, int):
-            if f.count != 1:
-                raise ValueError(f"field {f.name} expects {f.count} elements")
+            if count != 1:
+                raise ValueError(f"field {name} expects {count} elements")
             out.extend((v & mask).to_bytes(nb, "big"))
         else:
             vals = list(v)
-            if len(vals) != f.count:
+            if len(vals) != count:
                 raise ValueError(
-                    f"field {f.name} expects {f.count} elements, got {len(vals)}"
+                    f"field {name} expects {count} elements, got {len(vals)}"
                 )
-            for x in vals:
-                out.extend((int(x) & mask).to_bytes(nb, "big"))
+            if codec is not None:
+                out.extend(codec.pack(*[int(x) & mask for x in vals]))
+            else:
+                for x in vals:
+                    out.extend((int(x) & mask).to_bytes(nb, "big"))
     return bytes(out)
 
 
@@ -205,27 +295,28 @@ def unpack(data: bytes, spec: KernelSpec, out: Optional[Values] = None) -> tuple
         raise ValueError("truncated NetCL data section")
     values: list = []
     off = HEADER_SIZE
-    for i, f in enumerate(spec.fields):
-        nb = f.bytes_per_element
+    for i, (_, _, nb, count, _, tail, codec) in enumerate(spec.layout):
         skip = out is not None and (i >= len(out) or out[i] is None)
-        if f.tail and off - HEADER_SIZE >= dlen:
+        if tail and off - HEADER_SIZE >= dlen:
             # tail omitted by the sender: defaults to zeros
             values.append(
-                None if skip else (0 if f.count == 1 else [0] * f.count)
+                None if skip else (0 if count == 1 else [0] * count)
             )
             continue
         if skip:
             values.append(None)
-        elif f.count == 1:
+        elif count == 1:
             values.append(int.from_bytes(data[off : off + nb], "big"))
+        elif codec is not None and off + nb * count <= len(data):
+            values.append(list(codec.unpack_from(data, off)))
         else:
             values.append(
                 [
                     int.from_bytes(data[off + j * nb : off + (j + 1) * nb], "big")
-                    for j in range(f.count)
+                    for j in range(count)
                 ]
             )
-        off += f.total_bytes
+        off += nb * count
     return msg, values
 
 

@@ -17,7 +17,8 @@ One ``--seed`` drives everything else, so the printed digest is the same
 on every invocation; ``--check-determinism`` runs twice and compares.
 
 Exit status: 0 when every acceptance check passed, 1 when one failed,
-2 for a usage error, a malformed plan file or a non-deterministic run.
+2 for a usage error, a malformed plan file, a plan naming a switch, host
+or link the scenario does not have, or a non-deterministic run.
 """
 
 from __future__ import annotations
@@ -259,7 +260,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.dump_plan:
         print(plan.to_json())
         return 0
-    result = spec.run(args, plan)
+    from repro.chaos.plan import PlanError
+
+    try:
+        result = spec.run(args, plan)
+    except PlanError as exc:
+        print(f"bad plan: {exc}", file=sys.stderr)
+        return 2
     if args.check_determinism:
         again = spec.run(args, make_plan())
         if again.digest != result.digest:

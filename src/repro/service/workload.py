@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.chaos.plan import check_list, check_number, check_object, parse_node
+from repro.chaos.plan import PlanError, check_list, check_number, check_object, parse_node
 from repro.chaos.report import run_digest
 from repro.core import compile_netcl
 from repro.deploy.planner import HEADROOM_FIELDS, AbstractTopology, PhysicalFabric
@@ -524,8 +524,18 @@ class ServiceRunResult:
 
 
 def run_service_plan(plan: ServicePlan) -> ServiceRunResult:
-    """Replay one plan; deterministic for a fixed plan (same digest)."""
+    """Replay one plan; deterministic for a fixed plan (same digest).
+
+    Raises :class:`PlanError` before running for an event naming a switch
+    or host the plan's fabric does not have.
+    """
     fabric = plan.build_fabric()
+    for ev in plan.events:
+        if "switch" in ev and int(ev["switch"]) not in fabric.switches:
+            raise PlanError(f"{ev['kind']} event: switch {ev['switch']} is not in the fabric")
+        for h in ev.get("hosts", []):
+            if int(h) not in fabric.hosts:
+                raise PlanError(f"{ev['kind']} event: host {h} is not in the fabric")
     service = INCService(
         fabric, seed=plan.seed, heartbeat_ns=plan.heartbeat_us * 1000
     ).start()

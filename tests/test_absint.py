@@ -1,9 +1,11 @@
 """Value-range abstract interpretation: domain soundness + lint behavior.
 
-The binding contract: :class:`IRInterpreter` is the concrete semantics,
-and every abstract transfer must over-approximate it.  The width-4
-sections check that *exhaustively* — every concrete operand pair, every
-operator, every compare — against the real interpreter methods, so the
+The binding contract: the op semantics in :mod:`repro.ir.interp`
+(``binop``/``icmp``/``cast``, the one definition both the reference
+interpreter and the lowered kernel executor run) are the concrete
+semantics, and every abstract transfer must over-approximate them.  The
+width-4 sections check that *exhaustively* — every concrete operand pair,
+every operator, every compare — against those shared functions, so the
 abstract domain can never silently drift from the execution semantics.
 """
 
@@ -20,18 +22,8 @@ from repro.analysis.absint import (
     cast_range,
     icmp_range,
 )
-from repro.ir import GlobalState, IRInterpreter
-from repro.ir.instructions import (
-    BinOp,
-    BinOpKind,
-    Cast,
-    CastKind,
-    Constant,
-    ICmp,
-    ICmpPred,
-)
-from repro.ir.interp import InterpError
-from repro.ir.module import Module
+from repro.ir.instructions import BinOp, BinOpKind, CastKind, ICmpPred
+from repro.ir.interp import InterpError, binop, cast, icmp
 from repro.ir.types import IntType
 from repro.lang import analyze, lower_to_ir, parse_source
 
@@ -39,21 +31,17 @@ U4 = IntType(4)
 W4 = 4
 
 
-def _interp() -> IRInterpreter:
-    return IRInterpreter(Module("t"), GlobalState())
-
-
 def concrete_binop(kind: BinOpKind, a: int, b: int, ty: IntType = U4) -> int:
-    """Ground truth: the interpreter's own BinOp evaluation."""
-    return _interp()._binop(BinOp(kind, Constant(ty, a), Constant(ty, b)), {})
+    """Ground truth: the shared BinOp semantics."""
+    return binop(kind, ty, a, b)
 
 
 def concrete_icmp(pred: ICmpPred, a: int, b: int, ty: IntType = U4) -> int:
-    return _interp()._icmp(ICmp(pred, Constant(ty, a), Constant(ty, b)), {})
+    return icmp(pred, ty, a, b)
 
 
 def concrete_cast(kind: CastKind, v: int, src: IntType, dst: IntType) -> int:
-    return _interp()._cast(Cast(kind, Constant(src, v), dst), {})
+    return cast(kind, src, dst, v)
 
 
 # -- Interval basics ---------------------------------------------------------------
@@ -186,7 +174,7 @@ def test_binop_random_interval_pairs_sound():
                 )
 
 
-# -- pinned IRInterpreter edge-case semantics ------------------------------------------
+# -- pinned op edge-case semantics ---------------------------------------------------
 
 
 class TestInterpEdgeSemantics:

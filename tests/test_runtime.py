@@ -89,6 +89,73 @@ class TestCodec:
         assert [f.width_bits for f in spec.fields] == [8, 32, 32, 8, 32]
 
 
+def _decode_per_field(data: bytes, spec: KernelSpec) -> dict:
+    """Element-by-element data-section decoding: the codec's oracle."""
+    fields: dict = {}
+    off = 0
+    for f in spec.fields:
+        nb = f.bytes_per_element
+        if f.tail and off >= len(data):
+            fields[f.name] = 0 if f.count == 1 else [0] * f.count
+            continue
+        if f.count == 1:
+            fields[f.name] = int.from_bytes(data[off : off + nb], "big")
+        else:
+            fields[f.name] = [
+                int.from_bytes(data[off + j * nb : off + (j + 1) * nb], "big")
+                for j in range(f.count)
+            ]
+        off += f.total_bytes
+    return fields
+
+
+def _encode_per_field(fields: dict, spec: KernelSpec) -> bytes:
+    out = bytearray()
+    for f in spec.fields:
+        mask = (1 << f.width_bits) - 1
+        v = fields.get(f.name, 0)
+        for x in v if isinstance(v, list) else [v]:
+            out.extend((int(x) & mask).to_bytes(f.bytes_per_element, "big"))
+    return bytes(out)
+
+
+class TestSpecLayout:
+    """The per-spec layout and the device codec built on it."""
+
+    SPECS = [
+        SPEC,
+        KernelSpec(2, (FieldSpec("a", 12), FieldSpec("b", 24, count=3), FieldSpec("c", 1))),
+        KernelSpec(3, (FieldSpec("a", 16), FieldSpec("t", 32, count=2, tail=True))),
+        KernelSpec(4, (FieldSpec("x", 64), FieldSpec("y", 7, count=5))),
+    ]
+
+    def test_layout_offsets_and_masks(self):
+        spec = self.SPECS[1]
+        assert [(e.offset, e.nbytes, e.count, e.mask) for e in spec.layout] == [
+            (0, 2, 1, 0xFFF), (2, 3, 3, 0xFFFFFF), (11, 1, 1, 1)
+        ]
+        assert spec.data_bytes == 12
+        assert spec == KernelSpec(2, spec.fields) and "layout" not in repr(spec)
+
+    @pytest.mark.parametrize("index", range(len(SPECS)))
+    def test_decode_and_encode_match_per_field_codec(self, index):
+        import random
+
+        spec = self.SPECS[index]
+        rng = random.Random(index)
+        for n in range(spec.data_bytes + 3):
+            data = bytes(rng.randrange(256) for _ in range(n))
+            fields: dict = {}
+            spec.decode_into(data, fields)
+            assert fields == _decode_per_field(data, spec), n
+            assert spec.encode(fields) == _encode_per_field(fields, spec)
+        odd = {f.name: (True if f.count == 1 else [2.7] * f.count) for f in spec.fields}
+        assert spec.encode(odd) == _encode_per_field(odd, spec)
+        short = {f.name: ([1] if f.count > 1 else -1) for f in spec.fields}
+        assert spec.encode(short) == _encode_per_field(short, spec)
+        assert spec.encode({}) == _encode_per_field({}, spec)
+
+
 class TestDeviceRuntime:
     @pytest.fixture
     def device(self, fig4_compiled):

@@ -146,3 +146,53 @@ def test_cli_rejects_missing_plan_file(tmp_path, capsys):
 def test_cli_rejects_out_of_range_loss(capsys):
     assert main(["agg", "--loss", "2", "--dump-plan"]) == 2
     assert "probability" in capsys.readouterr().err
+
+
+OUTSIDE_TOPOLOGY = {
+    "crash d99": {"at_ns": 1000, "kind": "crash", "node": "d99"},
+    "link_down h1 d99": {"at_ns": 1000, "kind": "link_down", "a": "h1", "b": "d99"},
+}
+
+
+@pytest.mark.parametrize("name", ["cache", "agg", "collective", "rpc"])
+@pytest.mark.parametrize("event", list(OUTSIDE_TOPOLOGY))
+def test_cli_rejects_plan_naming_a_node_outside_the_topology(name, event, tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"seed": 7, "events": [OUTSIDE_TOPOLOGY[event]]}))
+    assert main([name, "--plan", str(plan_file), *_flags(name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad plan: ") and "d99" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("event", list(OUTSIDE_TOPOLOGY))
+def test_arm_rejects_event_outside_the_network_before_arming(event):
+    from repro.chaos.inject import ChaosController
+    from repro.netsim import Network
+
+    net = Network(seed=1)
+    net.add_host(1)
+    controller = ChaosController(net, ChaosPlan.from_dict({"events": [OUTSIDE_TOPOLOGY[event]]}))
+    with pytest.raises(ValueError, match="d99"):
+        controller.arm()
+    assert net.fault_injector is None and net.sim.pending == 0
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        {"at_us": 100, "kind": "crash", "switch": 99},
+        {"at_us": 100, "kind": "headroom", "switch": 99, "free_stages": 1},
+        {"at_us": 10, "kind": "submit", "tenant": "t", "app": "agg", "hosts": [1, 99]},
+    ],
+)
+def test_service_plan_rejects_switch_or_host_outside_the_fabric(event, tmp_path, capsys):
+    plan = default_service_plan(7)
+    plan.events.append(event)
+    with pytest.raises(ValueError, match="99"):
+        run_service_plan(plan)
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plan.to_json())
+    assert main(["service", "--plan", str(plan_file)]) == 2
+    assert capsys.readouterr().err.startswith("bad plan: ")
