@@ -10,7 +10,7 @@ PHV allocation, latency extraction), which in the paper dominates at over
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -108,8 +108,7 @@ def compile_netcl(
     constraint violations, and :class:`repro.tofino.allocator.FitError`
     when the program does not fit the pipeline.
     """
-    opts = options or PassOptions(target=target)
-    opts.target = target
+    opts = replace(options, target=target) if options else PassOptions(target=target)
     prof = profiler or NULL_PROFILER
     timings = CompileTimings()
 

@@ -45,6 +45,19 @@ def reachable_blocks(fn: Function) -> set[int]:
     return seen
 
 
+def _predecessor_map(fn: Function) -> dict[int, list[BasicBlock]]:
+    """Block id -> distinct predecessors in ``fn.blocks`` order, from one
+    sweep over the successor lists (what ``BasicBlock.predecessors``
+    returns for each block, at one scan in total)."""
+    preds: dict[int, list[BasicBlock]] = {}
+    for bb in fn.blocks:
+        for succ in bb.successors():
+            seen = preds.setdefault(id(succ), [])
+            if not seen or seen[-1] is not bb:
+                seen.append(bb)
+    return preds
+
+
 class DominatorTree:
     """Immediate dominators, dominance queries, and dominance frontiers."""
 
@@ -52,6 +65,7 @@ class DominatorTree:
         self.function = fn
         self.rpo = reverse_postorder(fn)
         self._rpo_index = {id(bb): i for i, bb in enumerate(self.rpo)}
+        self._preds = _predecessor_map(fn)
         self.idom: dict[int, BasicBlock] = {}
         self._compute_idoms()
         self._depth: dict[int, int] = {}
@@ -67,7 +81,7 @@ class DominatorTree:
             for bb in self.rpo:
                 if bb is entry:
                     continue
-                preds = [p for p in bb.predecessors() if id(p) in self.idom]
+                preds = [p for p in self.predecessors(bb) if id(p) in self.idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -94,6 +108,10 @@ class DominatorTree:
             self._depth[id(bb)] = self._depth[id(self.idom[id(bb)])] + 1
 
     # -- queries ---------------------------------------------------------------
+    def predecessors(self, bb: BasicBlock) -> list[BasicBlock]:
+        """``bb.predecessors()`` as of construction, without the block scan."""
+        return self._preds.get(id(bb), [])
+
     def immediate_dominator(self, bb: BasicBlock) -> Optional[BasicBlock]:
         if bb is self.function.entry:
             return None
@@ -128,7 +146,7 @@ class DominatorTree:
         """Per-block dominance frontier as sets of block ids."""
         df: dict[int, set[int]] = {id(bb): set() for bb in self.rpo}
         for bb in self.rpo:
-            preds = bb.predecessors()
+            preds = self.predecessors(bb)
             if len(preds) < 2:
                 continue
             for p in preds:

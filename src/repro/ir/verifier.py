@@ -55,6 +55,7 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
 
     block_ids = {id(bb) for bb in fn.blocks}
     defined: dict[int, BasicBlock] = {}
+    position: dict[int, int] = {}  # instruction id -> index in its block
 
     for bb in fn.blocks:
         term = bb.terminator
@@ -66,13 +67,15 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
             if inst.parent is not bb:
                 _err(fn, f"instruction {inst!r} has stale parent pointer")
             defined[id(inst)] = bb
+            position[id(inst)] = i
         for succ in bb.successors():
             if id(succ) not in block_ids:
                 _err(fn, f"block {bb.name} branches to unlisted block {succ.name}")
 
+    dt = DominatorTree(fn)
     # Phi nodes: one incoming value per predecessor, and phis lead the block.
     for bb in fn.blocks:
-        preds = bb.predecessors()
+        preds = dt.predecessors(bb)
         seen_non_phi = False
         for inst in bb.instructions:
             if isinstance(inst, Phi):
@@ -103,7 +106,6 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
     # Dominance: every instruction operand must be an argument, constant,
     # global, undef, or an instruction whose definition dominates the use.
     reachable = reachable_blocks(fn)
-    dt = DominatorTree(fn)
     args = {id(a) for a in fn.args}
     for bb in fn.blocks:
         if id(bb) not in reachable:
@@ -132,7 +134,7 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
                                 f"{src.name} not dominated by def in {def_bb.name}",
                             )
                     elif def_bb is bb:
-                        if bb.instructions.index(op) >= bb.instructions.index(inst):
+                        if position[id(op)] >= position[id(inst)]:
                             _err(fn, f"{inst!r} uses {op.short()} before definition")
                     elif not dt.dominates(def_bb, bb):
                         _err(

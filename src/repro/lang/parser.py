@@ -608,4 +608,9 @@ def _eval_const(expr: ast.Expr) -> Optional[int]:
 
 def parse_source(source: str, extra_defines: Optional[dict[str, int]] = None) -> ast.Program:
     """Parse NetCL source text into an AST."""
-    return Parser(Lexer(source, extra_defines)).parse_program()
+    parser = Parser(Lexer(source, extra_defines))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        tok = parser.peek()
+        raise CompileError("source nests too deeply to parse", tok.line, tok.col) from None

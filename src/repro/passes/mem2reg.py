@@ -4,6 +4,11 @@ Standard algorithm: place φ-nodes at the iterated dominance frontier of
 each promotable alloca's store blocks, then rename along the dominator
 tree.  Array allocas (P4 header stacks) and slots with indexed accesses
 are left in place.
+
+All candidates are promoted together, in time linear in the function
+size: one scan finds every candidate's defining blocks, one preorder
+walk of the dominator tree carries the current value of every slot,
+and one final sweep rewrites the uses of the promoted loads.
 """
 
 from __future__ import annotations
@@ -42,109 +47,141 @@ def mem2reg(fn: Function) -> int:
     candidates = _promotable(fn)
     if not candidates:
         return 0
+    slot_index = {id(a): i for i, a in enumerate(candidates)}
     reachable = reachable_blocks(fn)
     dt = DominatorTree(fn)
-    frontiers = dt.dominance_frontiers()
-    blocks_by_id = {id(bb): bb for bb in fn.blocks}
 
-    for alloca in candidates:
-        _promote_one(fn, alloca, dt, frontiers, blocks_by_id, reachable)
-    return len(candidates)
-
-
-def _promote_one(
-    fn: Function,
-    alloca: Alloca,
-    dt: DominatorTree,
-    frontiers: dict[int, set[int]],
-    blocks_by_id: dict[int, BasicBlock],
-    reachable: set[int],
-) -> None:
-    # 1. Find defining blocks.
-    def_blocks: list[BasicBlock] = []
+    # 1. Defining blocks of every candidate, in one scan.
+    def_blocks: list[list[BasicBlock]] = [[] for _ in candidates]
     for bb in fn.blocks:
+        if id(bb) not in reachable:
+            continue
         for inst in bb.instructions:
-            if isinstance(inst, Store) and inst.slot is alloca:
-                def_blocks.append(bb)
-                break
+            if isinstance(inst, Store):
+                i = slot_index.get(id(inst.slot))
+                if i is not None and (not def_blocks[i] or def_blocks[i][-1] is not bb):
+                    def_blocks[i].append(bb)
 
-    # 2. Insert φ at the iterated dominance frontier.
-    phi_blocks: set[int] = set()
-    work = [id(b) for b in def_blocks if id(b) in reachable]
-    seen = set(work)
-    while work:
-        b = work.pop()
-        for f in frontiers.get(b, ()):
-            if f not in phi_blocks and f in reachable:
-                phi_blocks.add(f)
-                if f not in seen:
-                    seen.add(f)
-                    work.append(f)
-    phis: dict[int, Phi] = {}
-    for bid in phi_blocks:
-        bb = blocks_by_id[bid]
-        node = Phi(alloca.elem, name=f"{alloca.name}.phi")
-        bb.insert(0, node)
-        node.parent = bb
-        phis[bid] = node
+    # 2. φ at the iterated dominance frontier, one alloca after another;
+    # each new φ goes to the head of its block, so the last candidate's
+    # φ comes first.
+    phis = _place_phis(fn, candidates, def_blocks, dt.dominance_frontiers(), reachable)
 
-    # 3. Rename along the dominator tree.
+    # 3. Rename along the dominator tree: one preorder walk carrying the
+    # current value of every candidate.  Promoted loads are recorded in
+    # ``replacement`` and rewritten in one sweep afterwards.
     children: dict[int, list[BasicBlock]] = {}
     for bb in dt.rpo:
         parent = dt.immediate_dominator(bb)
         if parent is not None:
             children.setdefault(id(parent), []).append(bb)
-
-    def rename(bb: BasicBlock, incoming: Value) -> None:
-        current = incoming
-        if id(bb) in phis:
-            current = phis[id(bb)]
-        to_remove: list[Instruction] = []
-        for inst in list(bb.instructions):
-            if isinstance(inst, Load) and inst.slot is alloca:
-                _replace_uses_in_function(fn, inst, current)
-                to_remove.append(inst)
-            elif isinstance(inst, Store) and inst.slot is alloca:
-                current = inst.value
-                to_remove.append(inst)
-        for inst in to_remove:
-            bb.remove(inst)
+    replacement: dict[Value, Value] = {}
+    promoted: set[int] = {id(a) for a in candidates}
+    undefs: list[Value] = [Undef(a.elem, f"{a.name}.undef") for a in candidates]
+    stack: list[tuple[BasicBlock, list[Value]]] = [(fn.entry, undefs)]
+    while stack:
+        bb, incoming = stack.pop()
+        current = list(incoming)
+        for i, node in phis.get(id(bb), ()):
+            current[i] = node
+        kept: list[Instruction] = []
+        for inst in bb.instructions:
+            if isinstance(inst, Load) and id(inst.slot) in promoted:
+                replacement[inst] = current[slot_index[id(inst.slot)]]
+            elif isinstance(inst, Store) and id(inst.slot) in promoted:
+                current[slot_index[id(inst.slot)]] = inst.value
+            elif id(inst) not in promoted:
+                kept.append(inst)
+                continue
+            inst.parent = None
+        bb.instructions = kept
         for succ in bb.successors():
-            node = phis.get(id(succ))
-            if node is not None:
-                node.add_incoming(current, bb)
-        for child in children.get(id(bb), ()):  # dominator-tree children
-            rename(child, current)
+            for i, node in phis.get(id(succ), ()):
+                node.add_incoming(current[i], bb)
+        for child in reversed(children.get(id(bb), ())):
+            stack.append((child, current))
 
-    rename(fn.entry, Undef(alloca.elem, f"{alloca.name}.undef"))
-
-    # 4. Remove the alloca itself.
+    # 4. Remove the allocas from blocks the walk did not reach.
     for bb in fn.blocks:
-        for inst in list(bb.instructions):
-            if inst is alloca:
-                bb.remove(inst)
+        if id(bb) not in reachable:
+            for inst in bb.instructions:
+                if id(inst) in promoted:
+                    inst.parent = None
+            bb.instructions = [i for i in bb.instructions if id(i) not in promoted]
 
-    # 5. Drop trivially dead φ nodes (no uses); iterate to fixpoint.
+    # 5. Point every use of a promoted load at its final value; a load may
+    # stand for another promoted load (``store b, (load a)``).
+    if replacement:
+        for inst in fn.instructions():
+            for old in {op for op in inst.operands if op in replacement}:
+                new = replacement[old]
+                while new in replacement:
+                    new = replacement[new]
+                inst.replace_operand(old, new)
+
+    # 6. Drop dead φ nodes (no uses but themselves), to a fixpoint.
     _prune_dead_phis(fn)
+    return len(candidates)
 
 
-def _replace_uses_in_function(fn: Function, old: Value, new: Value) -> None:
-    for inst in fn.instructions():
-        if old in inst.operands:
-            inst.replace_operand(old, new)
+def _place_phis(
+    fn: Function,
+    candidates: list[Alloca],
+    def_blocks: list[list[BasicBlock]],
+    frontiers: dict[int, set[int]],
+    reachable: set[int],
+) -> dict[int, list[tuple[int, Phi]]]:
+    """Insert each candidate's φ nodes; returns block id -> (slot, φ)."""
+    blocks_by_id = {id(bb): bb for bb in fn.blocks}
+    phis: dict[int, list[tuple[int, Phi]]] = {}
+    for i, alloca in enumerate(candidates):
+        phi_blocks: set[int] = set()
+        work = [id(b) for b in def_blocks[i]]
+        seen = set(work)
+        while work:
+            b = work.pop()
+            for f in frontiers.get(b, ()):
+                if f not in phi_blocks and f in reachable:
+                    phi_blocks.add(f)
+                    if f not in seen:
+                        seen.add(f)
+                        work.append(f)
+        for bid in phi_blocks:
+            node = Phi(alloca.elem, name=f"{alloca.name}.phi")
+            blocks_by_id[bid].insert(0, node)
+            phis.setdefault(bid, []).append((i, node))
+    return phis
 
 
 def _prune_dead_phis(fn: Function) -> None:
-    changed = True
-    while changed:
-        changed = False
-        used: set[int] = set()
-        for inst in fn.instructions():
+    """Remove φ nodes at block heads that nothing else uses, repeatedly.
+
+    Use counts make this one pass plus a worklist: removing a φ only
+    decrements the counts of the φ nodes it used.
+    """
+    uses: dict[int, int] = {}
+    head_phis: list[Phi] = []
+    for bb in fn.blocks:
+        head_phis.extend(bb.phis())
+        for inst in bb.instructions:
             for op in inst.operands:
                 if isinstance(op, Phi) and op is not inst:
-                    used.add(id(op))
+                    uses[id(op)] = uses.get(id(op), 0) + 1
+    heads = {id(p) for p in head_phis}
+    dead = [p for p in head_phis if not uses.get(id(p))]
+    removed: set[int] = set()
+    while dead:
+        node = dead.pop()
+        removed.add(id(node))
+        for op in node.operands:
+            if isinstance(op, Phi) and op is not node and id(op) not in removed:
+                uses[id(op)] -= 1
+                if uses[id(op)] == 0 and id(op) in heads:
+                    dead.append(op)
+    if removed:
         for bb in fn.blocks:
-            for inst in list(bb.phis()):
-                if id(inst) not in used:
-                    bb.remove(inst)
-                    changed = True
+            if any(id(i) in removed for i in bb.instructions):
+                for inst in bb.instructions:
+                    if id(inst) in removed:
+                        inst.parent = None
+                bb.instructions = [i for i in bb.instructions if id(i) not in removed]

@@ -46,7 +46,7 @@ def fold_constants(fn: Function) -> int:
             for inst in list(bb.instructions):
                 replacement = _fold_one(inst)
                 if replacement is not None:
-                    _rauw(fn, inst, replacement)
+                    fn.replace_all_uses(inst, replacement)
                     bb.remove(inst)
                     folds += 1
                     changed = True
@@ -156,12 +156,6 @@ def _simplify_binop(inst: BinOp) -> Optional[Value]:
     return None
 
 
-def _rauw(fn: Function, old: Value, new: Value) -> None:
-    for inst in fn.instructions():
-        if old in inst.operands:
-            inst.replace_operand(old, new)
-
-
 def simplify_cfg(fn: Function) -> int:
     """Fold constant branches, merge straight-line blocks, drop dead blocks."""
     changes = 0
@@ -213,7 +207,7 @@ def simplify_cfg(fn: Function) -> int:
                     val = node.incoming_for(pred)
                     if val is None:
                         break
-                    _rauw(fn, node, val)
+                    fn.replace_all_uses(node, val)
                     bb.remove(node)
                 if any(True for _ in bb.phis()):
                     continue

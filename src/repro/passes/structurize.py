@@ -112,7 +112,7 @@ def _structurize_regions(fn: Function) -> StructuredNode:
     preds_count: dict[int, int] = {}
     dom_children: dict[int, list[BasicBlock]] = {}
     for bb in dt.rpo:
-        preds_count[id(bb)] = sum(1 for p in bb.predecessors() if id(p) in reachable)
+        preds_count[id(bb)] = sum(1 for p in dt.predecessors(bb) if id(p) in reachable)
         idom = dt.immediate_dominator(bb)
         if idom is not None and bb is not fn.entry:
             dom_children.setdefault(id(idom), []).append(bb)

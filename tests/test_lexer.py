@@ -1,9 +1,11 @@
 """Unit tests for the NetCL lexer and preprocessor."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lang.errors import CompileError
 from repro.lang.lexer import Lexer, TokenKind, preprocess
+from repro.lang.parser import parse_source
 
 
 def toks(src, **kw):
@@ -99,3 +101,70 @@ class TestPreprocessor:
     def test_macro_body_with_expression(self):
         ts = toks("#define M 1 << 4\nM")
         assert [t.text for t in ts] == ["1", "<<", "4"]
+
+    def test_macro_used_twice_gets_each_use_site(self):
+        ts = toks("#define M (1 + 2)\nM\n  M")
+        assert [(t.text, t.line, t.col) for t in ts] == [
+            ("(", 2, 1), ("1", 2, 1), ("+", 2, 1), ("2", 2, 1), (")", 2, 1),
+            ("(", 3, 3), ("1", 3, 3), ("+", 3, 3), ("2", 3, 3), (")", 3, 3),
+        ]
+
+
+class TestMalformedSource:
+    """Malformed source raises CompileError at its line:col, never
+    another exception and never silent acceptance."""
+
+    @pytest.mark.parametrize(
+        "src,line,col,message",
+        [
+            ("int x = '", 1, 9, "unterminated character literal"),
+            ("int x = '\\", 1, 9, "unterminated character literal"),
+            ("int x = '\\q';", 1, 9, "unsupported escape"),
+            ("int x = 'ab';", 1, 9, "unterminated character literal"),
+            ("int x = 0x;", 1, 9, "malformed number"),
+            ("\n  int y = 0b;", 2, 11, "malformed number"),
+            ("int x = 0Xu;", 1, 9, "malformed number"),
+            ("int x;\n  /* never closed\nint y;", 2, 3, "unterminated /* comment"),
+            ("a /* one */ b /* two", 1, 15, "unterminated /* comment"),
+            ('int s = "abc', 1, 9, "unterminated string literal"),
+            ("int x = 1\u00b2;", 1, 10, "unexpected character"),
+        ],
+    )
+    def test_error_carries_location(self, src, line, col, message):
+        with pytest.raises(CompileError) as err:
+            Lexer(src)
+        assert (err.value.first.line, err.value.first.col) == (line, col)
+        assert message in err.value.first.message
+
+    def test_closed_block_comment_keeps_later_columns(self):
+        ts = toks("a /* x */ b")
+        assert [(t.text, t.col) for t in ts] == [("a", 1), ("b", 4)]
+
+    def test_deep_nesting_is_a_compile_error(self):
+        with pytest.raises(CompileError, match="nests too deeply"):
+            parse_source("int x = " + "(" * 500 + "1" + ")" * 500 + ";")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=200))
+def test_parse_source_raises_only_compile_error(src):
+    try:
+        parse_source(src)
+    except CompileError:
+        pass
+
+
+NETCL_PIECES = [
+    "int", "unsigned", "_kernel(1)", "_net_", "void", "k", "x", "(", ")", "{", "}",
+    "[", "]", ";", ",", "=", "+", "<<", "?", ":", "'", "'a'", "'\\", '"', "0x", "0b",
+    "1", "/*", "*/", "//", "\n", "#define M 1\n", "M", "ncl::", "if", "for", "&", " ",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(NETCL_PIECES), max_size=60))
+def test_parse_source_on_netcl_fragments_raises_only_compile_error(pieces):
+    try:
+        parse_source("".join(pieces))
+    except CompileError:
+        pass

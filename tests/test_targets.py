@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import compile_netcl
 from repro.ir import GlobalState, IRInterpreter, KernelMessage
+from repro.passes import PassOptions
 from repro.passes.memcheck import MemoryCheckError
 from repro.tofino.allocator import FitError
 from tests.conftest import FIG4_CACHE
@@ -44,6 +45,14 @@ class TestPerTargetRejection:
         assert "cms.part0" not in cp.module.globals
         cp_tna = compile_netcl(FIG4_CACHE, 1, target="tna")
         assert "cms.part0" in cp_tna.module.globals
+
+    def test_shared_options_are_not_mutated_by_target(self):
+        opts = PassOptions(speculation=False)
+        cp_tna = compile_netcl(FIG4_CACHE, 1, target="tna", options=opts)
+        cp_v1 = compile_netcl(FIG4_CACHE, 1, target="v1model", options=opts)
+        assert (cp_tna.options.target, cp_v1.options.target) == ("tna", "v1model")
+        assert opts.target == "tna"
+        assert not cp_tna.options.speculation and not cp_v1.options.speculation
 
     def test_same_behavior_across_targets(self):
         for target in ("tna", "v1model"):
